@@ -12,7 +12,7 @@ significant when flattened row-major).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -105,41 +105,63 @@ class Violation:
         return f"{self.kind}{loc}: magnitude {self.magnitude:.3e}"
 
 
-@dataclass(eq=False)
 class Assemblage:
     """Immutable map from (output string, input string) to a 2x2 operator.
 
-    The constructor enforces structure only (complete key set, 2x2 finite
-    complex entries); physical invariants are reported by :func:`validate`
-    so that defective assemblages can be held and diagnosed.
+    The members are stored as one read-only complex array of shape
+    (#b strings, #y strings, 2, 2), strings in row-major order;
+    :attr:`members` is a dict of read-only views into it, built on first
+    use.  The constructor enforces structure only (complete key set, 2x2
+    finite complex entries); physical invariants are reported by
+    :func:`validate` so that defective assemblages can be held and diagnosed.
     """
 
-    shape: ScenarioShape
-    members: dict[MemberKey, np.ndarray]
-
-    def __post_init__(self) -> None:
+    def __init__(self, shape: ScenarioShape, members: dict[MemberKey, np.ndarray]):
         expected = {
-            (b, y)
-            for b in self.shape.output_strings()
-            for y in self.shape.input_strings()
+            (b, y) for b in shape.output_strings() for y in shape.input_strings()
         }
-        got = set(self.members)
+        got = set(members)
         if got != expected:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             raise ValueError(
                 f"member keys do not match shape (missing {missing[:3]}, extra {extra[:3]})"
             )
-        frozen: dict[MemberKey, np.ndarray] = {}
-        for key, op in self.members.items():
-            arr = np.array(op, dtype=complex)
-            if arr.shape != (2, 2):
-                raise ValueError(f"member {key} is not a 2x2 operator")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"member {key} has non-finite entries")
-            arr.setflags(write=False)
-            frozen[key] = arr
-        self.members = frozen
+        stacked = np.empty(
+            (shape.n_output_strings, shape.n_input_strings, 2, 2), dtype=complex
+        )
+        for i, b in enumerate(shape.output_strings()):
+            for j, y in enumerate(shape.input_strings()):
+                arr = np.asarray(members[(b, y)], dtype=complex)
+                if arr.shape != (2, 2):
+                    raise ValueError(f"member {(b, y)} is not a 2x2 operator")
+                stacked[i, j] = arr
+        self._store(shape, stacked)
+
+    @classmethod
+    def _from_stacked(cls, shape: ScenarioShape, stacked: np.ndarray) -> "Assemblage":
+        """Take ownership of a dense (#b, #y, 2, 2) complex array as storage."""
+        assemblage = cls.__new__(cls)
+        assemblage._store(shape, stacked)
+        return assemblage
+
+    def _store(self, shape: ScenarioShape, stacked: np.ndarray) -> None:
+        finite = np.isfinite(stacked).all(axis=(2, 3))
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            key = (_string(i, shape.outputs_per_party), _string(j, shape.inputs_per_party))
+            raise ValueError(f"member {key} has non-finite entries")
+        stacked.setflags(write=False)
+        self.shape = shape
+        self._stacked = stacked
+
+    @cached_property
+    def members(self) -> dict[MemberKey, np.ndarray]:
+        return {
+            (b, y): self._stacked[i, j]
+            for i, b in enumerate(self.shape.output_strings())
+            for j, y in enumerate(self.shape.input_strings())
+        }
 
     def member(self, b, y) -> np.ndarray:
         key = (tuple(int(v) for v in b), tuple(int(v) for v in y))
@@ -153,19 +175,12 @@ class Assemblage:
         return float(np.trace(self.member(b, y)).real)
 
     def stacked_members(self) -> np.ndarray:
-        """Members as a dense array of shape (#b strings, #y strings, 2, 2)."""
-        out = np.empty(
-            (self.shape.n_output_strings, self.shape.n_input_strings, 2, 2),
-            dtype=complex,
-        )
-        for i, b in enumerate(self.shape.output_strings()):
-            for j, y in enumerate(self.shape.input_strings()):
-                out[i, j] = self.members[(b, y)]
-        return out
+        """The read-only storage array, shape (#b strings, #y strings, 2, 2)."""
+        return self._stacked
 
     def trace_table(self) -> np.ndarray:
         """P(b|y) for every member, shaped (#b strings, #y strings)."""
-        return np.einsum("byii->by", self.stacked_members()).real
+        return np.einsum("byii->by", self._stacked).real
 
     def reduced_state(self, y) -> np.ndarray:
         """Trusted-side operator sum_b sigma_{b|y} for one input string."""
@@ -173,9 +188,12 @@ class Assemblage:
         return sum(self.members[(b, yt)] for b in self.shape.output_strings())
 
     def scaled(self, factor: float) -> "Assemblage":
-        return Assemblage(
-            self.shape, {k: factor * v for k, v in self.members.items()}
-        )
+        return Assemblage._from_stacked(self.shape, factor * self._stacked)
+
+
+def _string(index: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The output or input string at a row-major position of the storage."""
+    return tuple(int(v) for v in np.unravel_index(index, dims))
 
 
 def validate(
@@ -189,48 +207,57 @@ def validate(
 ) -> list[Violation]:
     """Diagnose physical invariants; returns an empty list iff all hold.
 
-    No-signaling findings are included only under ``strict_no_signaling``;
-    the certification formulas are well defined without that property, so by
+    Member findings come first, in row-major (b, y) order: a member that is
+    not Hermitian is reported as such and not checked for positivity, whose
+    magnitude is -lambda_min = (|r| - tr)/2 of the member's Hermitian part.
+    Per-input normalization findings follow, then no-signaling findings.
+    The latter are included only under ``strict_no_signaling``; the
+    certification formulas are well defined without that property, so by
     default it is surfaced separately (the CLI prints it as a warning).
     """
-    findings: list[Violation] = []
     shape = assemblage.shape
-    for b in shape.output_strings():
-        for y in shape.input_strings():
-            op = assemblage.members[(b, y)]
-            defect = qubit.hermiticity_defect(op)
-            if defect > hermiticity_tol:
-                findings.append(Violation("hermiticity", b, y, defect))
-                continue
-            (_, lmin), _ = qubit.eig2(0.5 * (op + op.conj().T))
-            if lmin < -positivity_tol:
-                findings.append(Violation("positivity", b, y, -lmin))
-    for y in shape.input_strings():
-        total = sum(
-            assemblage.conditional_probability(b, y) for b in shape.output_strings()
+    stacked = assemblage.stacked_members()
+    adjoint = stacked.conj().swapaxes(-1, -2)
+    defects = np.abs(stacked - adjoint).max(axis=(2, 3))
+    hermitian_part = 0.5 * (stacked + adjoint)
+    traces = np.einsum("byii->by", hermitian_part).real
+    gaps = np.linalg.norm(qubit.bloch_stack(hermitian_part), axis=-1)
+    lmin = 0.5 * (traces - gaps)
+    non_hermitian = defects > hermiticity_tol
+    non_positive = ~non_hermitian & (lmin < -positivity_tol)
+
+    outputs, inputs = shape.outputs_per_party, shape.inputs_per_party
+    findings: list[Violation] = []
+    for i, j in np.argwhere(non_hermitian | non_positive):
+        b, y = _string(i, outputs), _string(j, inputs)
+        if non_hermitian[i, j]:
+            findings.append(Violation("hermiticity", b, y, float(defects[i, j])))
+        else:
+            findings.append(Violation("positivity", b, y, float(-lmin[i, j])))
+    errors = np.abs(assemblage.trace_table().sum(axis=0) - 1.0)
+    for j in np.flatnonzero(errors > normalization_tol):
+        findings.append(
+            Violation("normalization", None, _string(j, inputs), float(errors[j]))
         )
-        if abs(total - 1.0) > normalization_tol:
-            findings.append(Violation("normalization", None, y, abs(total - 1.0)))
     if strict_no_signaling:
-        inputs = list(shape.input_strings())
-        reference = assemblage.reduced_state(inputs[0])
-        for y in inputs[1:]:
-            deviation = float(
-                np.abs(assemblage.reduced_state(y) - reference).max()
+        deviations = _no_signaling_deviations(assemblage)
+        for j in np.flatnonzero(deviations[1:] > no_signaling_tol) + 1:
+            findings.append(
+                Violation("no-signaling", None, _string(j, inputs), float(deviations[j]))
             )
-            if deviation > no_signaling_tol:
-                findings.append(Violation("no-signaling", None, y, deviation))
     return findings
+
+
+def _no_signaling_deviations(assemblage: Assemblage) -> np.ndarray:
+    """Per input string, the largest entrywise difference between its reduced
+    state sum_b sigma_{b|y} and that of the first input string."""
+    reduced = assemblage.stacked_members().sum(axis=0)
+    return np.abs(reduced - reduced[0]).max(axis=(1, 2))
 
 
 def no_signaling_deviation(assemblage: Assemblage) -> float:
     """Largest entrywise spread of sum_b sigma_{b|y} across input strings."""
-    inputs = list(assemblage.shape.input_strings())
-    reference = assemblage.reduced_state(inputs[0])
-    worst = 0.0
-    for y in inputs[1:]:
-        worst = max(worst, float(np.abs(assemblage.reduced_state(y) - reference).max()))
-    return worst
+    return float(_no_signaling_deviations(assemblage).max())
 
 
 @dataclass(eq=False)
@@ -349,23 +376,34 @@ def generate_from_state(
     if float(np.linalg.eigvalsh(rho).min()) < -POSITIVITY:
         raise ValueError("state is not positive semidefinite")
 
-    untrusted_dim = prod(dims)
-    rho4 = rho.reshape(2, untrusted_dim, 2, untrusted_dim)
     shape = ScenarioShape(
         untrusted_parties=len(dims),
         inputs_per_party=measurements.inputs_per_party,
         outputs_per_party=measurements.outputs_per_party,
         trusted_inputs=trusted_inputs,
     )
-    members: dict[MemberKey, np.ndarray] = {}
-    for y in shape.input_strings():
-        for b in shape.output_strings():
-            joint = reduce(
-                np.kron,
-                (measurements.effects[p][y[p]][b[p]] for p in range(len(dims))),
-            )
-            members[(b, y)] = np.einsum("iajb,ba->ij", rho4, joint)
-    return Assemblage(shape, members)
+    # Labels: trusted row/column s, t; party p's row/column legs a_p, c_p and
+    # its output/input b_p, y_p.  sigma_{b|y}[s, t] =
+    # sum rho[s a.., t c..] prod_p M^p_{b_p|y_p}[c_p, a_p].
+    k = len(dims)
+    if 4 * k + 2 > 52:  # einsum's label limit
+        raise ValueError(f"generation supports at most 12 untrusted parties, got {k}")
+    s_, t_ = 0, 1
+    a = range(2, 2 + k)
+    c = range(2 + k, 2 + 2 * k)
+    b = range(2 + 2 * k, 2 + 3 * k)
+    y = range(2 + 3 * k, 2 + 4 * k)
+    operands = [rho.reshape(2, *dims, 2, *dims), [s_, *a, t_, *c]]
+    for p in range(k):
+        operands += [np.asarray(measurements.effects[p]), [y[p], b[p], c[p], a[p]]]
+    stacked = np.empty(
+        (shape.n_output_strings, shape.n_input_strings, 2, 2), dtype=complex
+    )
+    out = stacked.reshape(*shape.outputs_per_party, *shape.inputs_per_party, 2, 2)
+    # contract the state with one party's effects at a time
+    path = ["einsum_path", *((0, k - p) for p in range(k))]
+    np.einsum(*operands, [*b, *y, s_, t_], out=out, optimize=path)
+    return Assemblage._from_stacked(shape, stacked)
 
 
 # ---------------------------------------------------------------------------

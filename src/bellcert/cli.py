@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, fileio, tolerances
 from .assemblages import (
     Assemblage,
+    ScenarioShape,
     UntrustedMeasurementSet,
     builtin_assemblage,
     generate_from_state,
@@ -223,7 +224,15 @@ def _resolve_assemblage(spec: str) -> tuple[Assemblage, str]:
     raise InputError(f"{name!r} is neither a built-in assemblage nor an existing file")
 
 
-def _resolve_inequality(spec: str) -> tuple[BellInequality, str]:
+def _resolve_inequality(
+    spec: str, *, enumerate_bound: bool = True
+) -> tuple[BellInequality, str]:
+    """Return (inequality, source label).
+
+    With ``enumerate_bound`` false, the chained built-in carries a 0
+    placeholder bound instead of its enumerated one, for a caller that
+    enumerates the bound itself.
+    """
     name = spec.strip()
     lowered = name.lower()
     if lowered == "chsh":
@@ -232,7 +241,8 @@ def _resolve_inequality(spec: str) -> tuple[BellInequality, str]:
         return build_svetlichny(), "builtin:svetlichny"
     if lowered.startswith("chained:"):
         m = _parse_int(name.split(":", 1)[1], "chained input count")
-        return build_chained_svetlichny(m), f"builtin:chained:{m}"
+        placeholder = None if enumerate_bound else 0.0
+        return build_chained_svetlichny(m, placeholder), f"builtin:chained:{m}"
     if lowered == "reducible-chsh":
         return build_reducible_chsh(), "builtin:reducible-chsh:0.5"
     if lowered.startswith("reducible-chsh:"):
@@ -382,6 +392,8 @@ def _violation_jsonable(violation) -> dict:
 
 
 def _is_chsh_family(inequality: BellInequality) -> bool:
+    if inequality.shape != ScenarioShape(1, (2,), (2,), 2):
+        return False
     try:
         variants = chsh_symmetries()
     except ValueError:
@@ -555,7 +567,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bound(args) -> int:
     tol = _effective_tolerances(args)
-    inequality, label = _resolve_inequality(args.inequality)
+    inequality, label = _resolve_inequality(args.inequality, enumerate_bound=False)
     bound = local_bound_enumerate(inequality, cap=args.cap)
     count = strategy_count(inequality.shape)
     manifest = RunManifest("bound", {"inequality": label}, args.seed, tol)

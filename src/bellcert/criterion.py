@@ -146,18 +146,13 @@ def optimal_direction(
     if not 0 <= x < inequality.shape.trusted_inputs:
         raise ValueError(f"trusted input {x} out of range")
     beta = _flat_coefficients(inequality)
-    weights = 0.5 * (beta[0, :, x, :] - beta[1, :, x, :])
-    blochs = _member_bloch_stack(assemblage)
-    return np.einsum("by,byc->c", weights, blochs)
+    return _directions(assemblage, 0.5 * (beta[0] - beta[1]))[x]
 
 
-def _member_bloch_stack(assemblage: Assemblage) -> np.ndarray:
-    stacked = assemblage.stacked_members()
-    out = np.empty((*stacked.shape[:2], 3))
-    for i in range(stacked.shape[0]):
-        for j in range(stacked.shape[1]):
-            out[i, j] = qubit.bloch_vector(stacked[i, j])
-    return out
+def _directions(assemblage: Assemblage, weights: np.ndarray) -> np.ndarray:
+    """sum_{b,y} weights[b, x, y] r(sigma_{b|y}), one row per trusted input x."""
+    blochs = qubit.bloch_stack(assemblage.stacked_members())
+    return np.einsum("bxy,byc->xc", weights, blochs)
 
 
 def _verdict(lhs: float, bound: float, tie_tol: float) -> tuple[bool, bool]:
@@ -186,35 +181,48 @@ def evaluate(
     floating-point equality.
     """
     _require_matching(assemblage, inequality)
-    shape = inequality.shape
     beta = _flat_coefficients(inequality)
-    traces = assemblage.trace_table()
-    blochs = _member_bloch_stack(assemblage)
+    constant = 0.5 * float(np.einsum("abxy,by->", beta, assemblage.trace_table()))
+    directions = _directions(assemblage, 0.5 * (beta[0] - beta[1]))
+    return _report(
+        directions,
+        constant,
+        inequality.local_bound,
+        tie_tol,
+        degeneracy_tol,
+        GUARANTEE_GENERAL,
+    )
 
-    constant = 0.5 * float(np.einsum("abxy,by->", beta, traces))
-    weights = 0.5 * (beta[0] - beta[1])
-    directions = np.einsum("bxy,byc->xc", weights, blochs)
+
+def _report(
+    directions: np.ndarray,
+    constant: float,
+    bound: float,
+    tie_tol: float,
+    degeneracy_tol: float,
+    guarantee: str,
+) -> CriterionReport:
+    """Report for optimal vectors: lhs = constant + sum of their norms."""
     norms = np.linalg.norm(directions, axis=1)
-
     direction_free = []
     measurements = []
-    for x in range(shape.trusted_inputs):
-        degenerate = norms[x] <= degeneracy_tol
+    for norm, direction in zip(norms, directions):
+        degenerate = norm <= degeneracy_tol
         direction_free.append(bool(degenerate))
-        axis = DEFAULT_DIRECTION if degenerate else directions[x] / norms[x]
+        axis = DEFAULT_DIRECTION if degenerate else direction / norm
         measurements.append(DichotomicPOVM.from_direction(axis))
-
     lhs = constant + float(norms.sum())
-    violated, marginal = _verdict(lhs, inequality.local_bound, tie_tol)
+    violated, marginal = _verdict(lhs, bound, tie_tol)
     return CriterionReport(
         opt_directions=directions,
         constant_term=constant,
         lhs_value=lhs,
-        local_bound=inequality.local_bound,
+        local_bound=bound,
         violated=violated,
         marginal=marginal,
         direction_free=tuple(direction_free),
         optimal_measurements=measurements,
+        guarantee=guarantee,
     )
 
 
@@ -253,17 +261,13 @@ def _require_chsh_shape(shape: ScenarioShape) -> None:
         )
 
 
+_CHSH_SIGNS = np.fromfunction(lambda b, x, y: (-1.0) ** (b + x * y), (2, 2, 2))
+
+
 def chsh_directions(assemblage: Assemblage) -> np.ndarray:
     """Optimal vectors r(sum_{b,y} (-1)^(b+xy) sigma_{b|y}), one row per x."""
     _require_chsh_shape(assemblage.shape)
-    out = np.zeros((2, 3))
-    for x in range(2):
-        op = np.zeros((2, 2), dtype=complex)
-        for b in range(2):
-            for y in range(2):
-                op += (-1.0) ** (b + x * y) * assemblage.member((b,), (y,))
-        out[x] = qubit.bloch_vector(op)
-    return out
+    return _directions(assemblage, _CHSH_SIGNS)
 
 
 def chsh_fast(
@@ -279,27 +283,8 @@ def chsh_fast(
     just a CHSH-violation statement, and it agrees with ``evaluate`` on the
     CHSH inequality and each of its 8 symmetries.
     """
-    directions = chsh_directions(assemblage)
-    norms = np.linalg.norm(directions, axis=1)
-    direction_free = []
-    measurements = []
-    for x in range(2):
-        degenerate = norms[x] <= degeneracy_tol
-        direction_free.append(bool(degenerate))
-        axis = DEFAULT_DIRECTION if degenerate else directions[x] / norms[x]
-        measurements.append(DichotomicPOVM.from_direction(axis))
-    lhs = float(norms.sum())
-    violated, marginal = _verdict(lhs, 2.0, tie_tol)
-    return CriterionReport(
-        opt_directions=directions,
-        constant_term=0.0,
-        lhs_value=lhs,
-        local_bound=2.0,
-        violated=violated,
-        marginal=marginal,
-        direction_free=tuple(direction_free),
-        optimal_measurements=measurements,
-        guarantee=GUARANTEE_CHSH,
+    return _report(
+        chsh_directions(assemblage), 0.0, 2.0, tie_tol, degeneracy_tol, GUARANTEE_CHSH
     )
 
 

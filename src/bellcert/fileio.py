@@ -119,8 +119,7 @@ def assemblage_to_jsonable(assemblage: Assemblage) -> dict:
 def assemblage_from_jsonable(data) -> Assemblage:
     if not isinstance(data, dict) or data.get("format") != "assemblage":
         raise ValueError("not an assemblage document (missing format: assemblage)")
-    if int(data.get("schema", 0)) > SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {data.get('schema')}")
+    _check_schema(data)
     shape = shape_from_jsonable(data.get("shape"), "shape")
     raw_members = data.get("members")
     if not isinstance(raw_members, dict):
@@ -133,6 +132,15 @@ def assemblage_from_jsonable(data) -> Assemblage:
         return Assemblage(shape, members)
     except ValueError as exc:
         raise ValueError(f"members: {exc}") from None
+
+
+def _check_schema(data: dict) -> None:
+    try:
+        schema = int(data.get("schema", 0))
+    except (TypeError, ValueError):
+        raise ValueError(f"schema: expected an integer, got {data['schema']!r}") from None
+    if schema > SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {data.get('schema')}")
 
 
 def inequality_to_jsonable(inequality: BellInequality) -> dict:
@@ -151,8 +159,7 @@ def inequality_to_jsonable(inequality: BellInequality) -> dict:
 def inequality_from_jsonable(data) -> BellInequality:
     if not isinstance(data, dict) or data.get("format") != "bell-inequality":
         raise ValueError("not an inequality document (missing format: bell-inequality)")
-    if int(data.get("schema", 0)) > SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {data.get('schema')}")
+    _check_schema(data)
     shape = shape_from_jsonable(data.get("shape"), "shape")
     if "local_bound" not in data:
         raise ValueError("missing local_bound")

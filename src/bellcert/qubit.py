@@ -18,7 +18,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
-for _m in (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z):
+# Tr[O P] = sum_ij O_ij P_ji: a row-major flattened operator times the
+# matching column of flattened transposed Paulis, one column per Pauli
+_PAULI_COLUMNS = np.stack([p.T.reshape(4) for p in PAULIS], axis=1)
+
+for _m in (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _PAULI_COLUMNS):
     _m.setflags(write=False)
 
 
@@ -29,12 +33,17 @@ def require_hermitian(op, tol: float = HERMITICITY) -> np.ndarray:
         raise ValueError(f"expected a 2x2 operator, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator has non-finite entries")
-    deviation = float(np.abs(arr - arr.conj().T).max())
-    if deviation > tol:
+    _check_hermitian(arr, tol)
+    return arr
+
+
+def _check_hermitian(arr: np.ndarray, tol: float) -> None:
+    # "not <=" also rejects the NaN deviation of a non-finite entry
+    deviation = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
+    if not deviation <= tol:
         raise ValueError(
             f"operator is not Hermitian (deviation {deviation:.3e} exceeds {tol:.1e})"
         )
-    return arr
 
 
 def hermiticity_defect(op) -> float:
@@ -45,8 +54,25 @@ def hermiticity_defect(op) -> float:
 
 def bloch_vector(op) -> np.ndarray:
     """Pauli trace triple (Tr[OX], Tr[OY], Tr[OZ]) of a Hermitian operator."""
-    arr = require_hermitian(op)
-    return np.array([np.trace(arr @ pauli).real for pauli in PAULIS])
+    return _pauli_traces(require_hermitian(op))
+
+
+def bloch_stack(ops) -> np.ndarray:
+    """Pauli trace triples of a stack of Hermitian operators.
+
+    ``ops`` has shape (..., 2, 2); the result has shape (..., 3).  Raises
+    ``ValueError`` if any operator in the stack deviates from its adjoint by
+    more than the Hermiticity tolerance in some entry.
+    """
+    arr = np.asarray(ops, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 operators, got shape {arr.shape}")
+    _check_hermitian(arr, HERMITICITY)
+    return _pauli_traces(arr)
+
+
+def _pauli_traces(arr: np.ndarray) -> np.ndarray:
+    return (arr.reshape(*arr.shape[:-2], 4) @ _PAULI_COLUMNS).real
 
 
 def from_bloch(trace: float, r) -> np.ndarray:
@@ -68,7 +94,7 @@ def eig2(op, degeneracy_tol: float = DEGENERATE_DIRECTION):
     """
     arr = require_hermitian(op)
     trace = np.trace(arr).real
-    r = bloch_vector(arr)
+    r = _pauli_traces(arr)
     gap = float(np.linalg.norm(r))
     lmax = 0.5 * (trace + gap)
     lmin = 0.5 * (trace - gap)

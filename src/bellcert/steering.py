@@ -75,8 +75,13 @@ def correlator(assemblage: Assemblage, direction, y: int) -> float:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    op = assemblage.member((0,), (y,)) - assemblage.member((1,), (y,))
-    return float(qubit.bloch_vector(op) @ v)
+    return float(_correlator_vectors(assemblage)[y] @ v)
+
+
+def _correlator_vectors(assemblage: Assemblage) -> np.ndarray:
+    """r(sigma_{0|y} - sigma_{1|y}) for every input y, one row each."""
+    stacked = assemblage.stacked_members()
+    return qubit.bloch_stack(stacked[0] - stacked[1])
 
 
 def two_axis_steering_lhs(assemblage: Assemblage, basis: PauliTriple) -> float:
@@ -97,9 +102,7 @@ def three_axis_steering_lhs(assemblage: Assemblage, basis: PauliTriple) -> float
 
 def _axis_sum(assemblage: Assemblage, axes: np.ndarray) -> float:
     _require_two_two(assemblage.shape)
-    correlators = np.array(
-        [[correlator(assemblage, axis, y) for y in range(2)] for axis in axes]
-    )
+    correlators = axes @ _correlator_vectors(assemblage).T
     plus = correlators[:, 0] + correlators[:, 1]
     minus = correlators[:, 0] - correlators[:, 1]
     return float(np.sqrt(np.sum(plus**2)) + np.sqrt(np.sum(minus**2)))
