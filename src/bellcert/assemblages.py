@@ -117,6 +117,10 @@ class Assemblage:
     """
 
     def __init__(self, shape: ScenarioShape, members: dict[MemberKey, np.ndarray]):
+        # list the shape's strings only while that costs at most twice the members given
+        count = shape.n_output_strings * shape.n_input_strings
+        if count > 2 * len(members):
+            raise ValueError(f"member keys do not match shape (got {len(members)}, need {count})")
         expected = {
             (b, y) for b in shape.output_strings() for y in shape.input_strings()
         }
@@ -217,12 +221,8 @@ def validate(
     """
     shape = assemblage.shape
     stacked = assemblage.stacked_members()
-    adjoint = stacked.conj().swapaxes(-1, -2)
-    defects = np.abs(stacked - adjoint).max(axis=(2, 3))
-    hermitian_part = 0.5 * (stacked + adjoint)
-    traces = np.einsum("byii->by", hermitian_part).real
-    gaps = np.linalg.norm(qubit.bloch_stack(hermitian_part), axis=-1)
-    lmin = 0.5 * (traces - gaps)
+    defects = qubit.hermiticity_defects(stacked)
+    lmin = qubit.min_eigenvalues(0.5 * (stacked + stacked.conj().swapaxes(-1, -2)))
     non_hermitian = defects > hermiticity_tol
     non_positive = ~non_hermitian & (lmin < -positivity_tol)
 
@@ -264,67 +264,29 @@ def no_signaling_deviation(assemblage: Assemblage) -> float:
 class UntrustedMeasurementSet:
     """Per party and per input, a complete list of PSD effects.
 
-    ``effects[party][input][outcome]`` is a d_party x d_party matrix; for a
-    fixed party every input must have the same number of outcomes and the
-    effects must sum to that party's identity.
+    ``effects[party]`` is a read-only (inputs, outcomes, d, d) array, so
+    ``effects[party][input][outcome]`` is one d x d effect; every input of a
+    party has the same outcome count and its effects sum to the identity.
     """
 
-    effects: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    effects: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        parties = []
-        for p, per_input in enumerate(self.effects):
-            if not per_input:
-                raise ValueError(f"party {p} has no inputs")
-            coerced_inputs = []
-            dim = None
-            n_out = None
-            for yi, effect_list in enumerate(per_input):
-                ops = tuple(np.array(e, dtype=complex) for e in effect_list)
-                if not ops:
-                    raise ValueError(f"party {p} input {yi} has no effects")
-                for op in ops:
-                    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-                        raise ValueError(f"party {p} input {yi}: effects must be square")
-                    if dim is None:
-                        dim = op.shape[0]
-                    if op.shape[0] != dim:
-                        raise ValueError(f"party {p}: inconsistent effect dimensions")
-                    if qubit.hermiticity_defect(op) > HERMITICITY:
-                        raise ValueError(f"party {p} input {yi}: non-Hermitian effect")
-                    lmin = float(np.linalg.eigvalsh(op).min())
-                    if lmin < -POSITIVITY:
-                        raise ValueError(
-                            f"party {p} input {yi}: effect has eigenvalue {lmin:.3e}"
-                        )
-                if n_out is None:
-                    n_out = len(ops)
-                elif len(ops) != n_out:
-                    raise ValueError(
-                        f"party {p}: outcome count differs between inputs"
-                    )
-                total = sum(ops)
-                if float(np.abs(total - np.eye(dim)).max()) > RECONSTRUCTION:
-                    raise ValueError(
-                        f"party {p} input {yi}: effects do not sum to the identity"
-                    )
-                for op in ops:
-                    op.setflags(write=False)
-                coerced_inputs.append(ops)
-            parties.append(tuple(coerced_inputs))
-        self.effects = tuple(parties)
+        self.effects = tuple(
+            _effect_stack(p, per_input) for p, per_input in enumerate(self.effects)
+        )
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(per_input[0][0].shape[0] for per_input in self.effects)
+        return tuple(stack.shape[-1] for stack in self.effects)
 
     @property
     def inputs_per_party(self) -> tuple[int, ...]:
-        return tuple(len(per_input) for per_input in self.effects)
+        return tuple(stack.shape[0] for stack in self.effects)
 
     @property
     def outputs_per_party(self) -> tuple[int, ...]:
-        return tuple(len(per_input[0]) for per_input in self.effects)
+        return tuple(stack.shape[1] for stack in self.effects)
 
     @classmethod
     def from_directions(cls, directions) -> "UntrustedMeasurementSet":
@@ -338,6 +300,42 @@ class UntrustedMeasurementSet:
             for per_party in directions
         )
         return cls(effects)
+
+
+def _effect_stack(p: int, per_input) -> np.ndarray:
+    """One party's effects as a checked read-only (inputs, outcomes, d, d) array."""
+    if len(per_input) == 0:
+        raise ValueError(f"party {p} has no inputs")
+    counts = [len(effect_list) for effect_list in per_input]
+    if 0 in counts:
+        raise ValueError(f"party {p} input {counts.index(0)} has no effects")
+    if len(set(counts)) > 1:
+        raise ValueError(f"party {p}: outcome count differs between inputs")
+    shapes = [np.shape(e) for effect_list in per_input for e in effect_list]
+    square = [len(sh) == 2 and sh[0] == sh[1] for sh in shapes]
+    if not all(square):
+        yi = square.index(False) // counts[0]
+        raise ValueError(f"party {p} input {yi}: effects must be square")
+    if len(set(shapes)) > 1:
+        raise ValueError(f"party {p}: inconsistent effect dimensions")
+    stack = np.array(per_input, dtype=complex)
+    # "not <=" also rejects the NaN deviation of a non-finite entry
+    non_hermitian = ~(qubit.hermiticity_defects(stack) <= HERMITICITY)
+    if non_hermitian.any():
+        yi = np.argwhere(non_hermitian)[0, 0]
+        raise ValueError(f"party {p} input {yi}: non-Hermitian effect")
+    lmin = qubit.min_eigenvalues(stack)
+    if (lmin < -POSITIVITY).any():
+        yi, bi = np.argwhere(lmin < -POSITIVITY)[0]
+        raise ValueError(f"party {p} input {yi}: effect has eigenvalue {lmin[yi, bi]:.3e}")
+    identity = np.eye(stack.shape[-1])
+    incomplete = np.abs(stack.sum(axis=1) - identity).max(axis=(1, 2)) > RECONSTRUCTION
+    if incomplete.any():
+        raise ValueError(
+            f"party {p} input {np.argmax(incomplete)}: effects do not sum to the identity"
+        )
+    stack.setflags(write=False)
+    return stack
 
 
 def generate_from_state(
@@ -369,11 +367,11 @@ def generate_from_state(
             f"state has shape {rho.shape}, expected ({total_dim}, {total_dim}) "
             f"for untrusted dimensions {dims}"
         )
-    if qubit.hermiticity_defect(rho) > 1e-9:
+    if not qubit.hermiticity_defects(rho) <= 1e-9:
         raise ValueError("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > NORMALIZATION:
         raise ValueError(f"state trace is {np.trace(rho).real!r}, expected 1")
-    if float(np.linalg.eigvalsh(rho).min()) < -POSITIVITY:
+    if qubit.min_eigenvalues(rho) < -POSITIVITY:
         raise ValueError("state is not positive semidefinite")
 
     shape = ScenarioShape(
@@ -395,7 +393,7 @@ def generate_from_state(
     y = range(2 + 3 * k, 2 + 4 * k)
     operands = [rho.reshape(2, *dims, 2, *dims), [s_, *a, t_, *c]]
     for p in range(k):
-        operands += [np.asarray(measurements.effects[p]), [y[p], b[p], c[p], a[p]]]
+        operands += [measurements.effects[p], [y[p], b[p], c[p], a[p]]]
     stacked = np.empty(
         (shape.n_output_strings, shape.n_input_strings, 2, 2), dtype=complex
     )

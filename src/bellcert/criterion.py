@@ -54,20 +54,15 @@ class DichotomicPOVM:
     def __post_init__(self) -> None:
         if len(self.effects) != 2:
             raise ValueError("a dichotomic POVM has exactly two effects")
-        first = qubit.require_hermitian(self.effects[0])
-        second = qubit.require_hermitian(self.effects[1])
-        for label, op in (("first", first), ("second", second)):
-            (_, lmin), _ = qubit.eig2(op)
+        stack = np.array([qubit.require_hermitian(op) for op in self.effects])
+        for label, lmin in zip(("first", "second"), qubit.min_eigenvalues(stack)):
             if lmin < -POSITIVITY:
                 raise ValueError(f"{label} effect has eigenvalue {lmin:.3e}")
-        defect = float(np.abs(first + second - qubit.IDENTITY).max())
+        defect = float(np.abs(stack.sum(axis=0) - qubit.IDENTITY).max())
         if defect > RECONSTRUCTION:
             raise ValueError(f"effects sum to identity only within {defect:.3e}")
-        first = first.copy()
-        second = second.copy()
-        first.setflags(write=False)
-        second.setflags(write=False)
-        self.effects = (first, second)
+        stack.setflags(write=False)
+        self.effects = (stack[0], stack[1])
 
     @classmethod
     def from_direction(cls, direction) -> "DichotomicPOVM":
@@ -236,12 +231,12 @@ def distribution_from(
             f"expected {shape.trusted_inputs} trusted measurements, "
             f"got {len(measurements)}"
         )
-    effect_stack = np.empty((shape.trusted_inputs, 2, 2, 2), dtype=complex)
-    for x, measurement in enumerate(measurements):
-        if not isinstance(measurement, DichotomicPOVM):
-            measurement = DichotomicPOVM(tuple(measurement))
-        effect_stack[x, 0] = measurement.effects[0]
-        effect_stack[x, 1] = measurement.effects[1]
+    effect_stack = np.array(
+        [
+            (m if isinstance(m, DichotomicPOVM) else DichotomicPOVM(tuple(m))).effects
+            for m in measurements
+        ]
+    )
     members = assemblage.stacked_members()
     table = np.einsum("xaij,BYji->aBxY", effect_stack, members).real
     return Distribution(shape, table.reshape(shape.distribution_dims))

@@ -29,26 +29,27 @@ def encode_complex(z: complex) -> list[float]:
     return [_num(z.real), _num(z.imag)]
 
 
-def decode_complex(data, context: str) -> complex:
-    if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ValueError(f"{context}: complex entries must be [re, im] pairs")
-    return complex(float(data[0]), float(data[1]))
+def encode_operators(ops: np.ndarray) -> list:
+    """A stack of complex operators as nested [re, im] lists."""
+    return (np.stack([ops.real, ops.imag], axis=-1) + 0.0).tolist()  # normalizes -0.0
 
 
-def encode_operator(op: np.ndarray) -> list:
-    return [[encode_complex(op[i, j]) for j in range(2)] for i in range(2)]
+def decode_operators(data, shape: tuple[int, ...], context: str) -> np.ndarray:
+    """Nested [re, im] pairs of the given leading shape as a complex array.
 
-
-def decode_operator(data, context: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != 2:
-        raise ValueError(f"{context}: operators must be 2x2 nested arrays")
-    out = np.empty((2, 2), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ValueError(f"{context}: operators must be 2x2 nested arrays")
-        for j, entry in enumerate(row):
-            out[i, j] = decode_complex(entry, context)
-    return out
+    Entries must be finite numbers; any other content raises ``ValueError``
+    naming ``context``.
+    """
+    try:
+        pairs = np.array(data, dtype=float)
+        if pairs.shape != (*shape, 2):
+            raise ValueError
+    except (TypeError, ValueError):
+        expected = "x".join(map(str, shape))
+        raise ValueError(f"{context}: expected {expected} nested [re, im] pairs") from None
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{context}: entries must be finite numbers")
+    return pairs.view(complex)[..., 0]
 
 
 def member_key(b, y) -> str:
@@ -104,10 +105,11 @@ def shape_from_jsonable(data, context: str = "shape") -> ScenarioShape:
 
 
 def assemblage_to_jsonable(assemblage: Assemblage) -> dict:
+    encoded = encode_operators(assemblage.stacked_members())
     members = {}
-    for b in assemblage.shape.output_strings():
-        for y in assemblage.shape.input_strings():
-            members[member_key(b, y)] = encode_operator(assemblage.members[(b, y)])
+    for i, b in enumerate(assemblage.shape.output_strings()):
+        for j, y in enumerate(assemblage.shape.input_strings()):
+            members[member_key(b, y)] = encoded[i][j]
     return {
         "format": "assemblage",
         "schema": SCHEMA_VERSION,
@@ -127,7 +129,7 @@ def assemblage_from_jsonable(data) -> Assemblage:
     members = {}
     for key, value in raw_members.items():
         b, y = parse_member_key(key)
-        members[(b, y)] = decode_operator(value, f"members[{key!r}]")
+        members[(b, y)] = decode_operators(value, (2, 2), f"members[{key!r}]")
     try:
         return Assemblage(shape, members)
     except ValueError as exc:
@@ -161,15 +163,18 @@ def inequality_from_jsonable(data) -> BellInequality:
         raise ValueError("not an inequality document (missing format: bell-inequality)")
     _check_schema(data)
     shape = shape_from_jsonable(data.get("shape"), "shape")
-    if "local_bound" not in data:
-        raise ValueError("missing local_bound")
     try:
         coefficients = np.array(data.get("coefficients"), dtype=float)
     except (TypeError, ValueError):
         raise ValueError("coefficients: expected a nested numeric array") from None
+    local_bound = data.get("local_bound")
+    try:
+        local_bound = float(local_bound)
+    except (TypeError, ValueError):
+        raise ValueError(f"local_bound: expected a number, got {local_bound!r}") from None
     name = data.get("name")
     try:
-        return BellInequality(shape, coefficients, float(data["local_bound"]), name)
+        return BellInequality(shape, coefficients, local_bound, name)
     except ValueError as exc:
         raise ValueError(f"coefficients: {exc}") from None
 
@@ -180,14 +185,7 @@ def density_matrix_from_jsonable(data) -> np.ndarray:
     matrix = data.get("matrix")
     if not isinstance(matrix, list):
         raise ValueError("matrix: expected a nested array")
-    dim = len(matrix)
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(matrix):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError("matrix: rows must all have the matrix dimension")
-        for j, entry in enumerate(row):
-            out[i, j] = decode_complex(entry, f"matrix[{i}][{j}]")
-    return out
+    return decode_operators(matrix, (len(matrix),) * 2, "matrix")
 
 
 def dump_canonical(doc: dict) -> str:

@@ -39,17 +39,30 @@ def require_hermitian(op, tol: float = HERMITICITY) -> np.ndarray:
 
 def _check_hermitian(arr: np.ndarray, tol: float) -> None:
     # "not <=" also rejects the NaN deviation of a non-finite entry
-    deviation = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
+    deviation = float(hermiticity_defects(arr).max(initial=0.0))
     if not deviation <= tol:
         raise ValueError(
             f"operator is not Hermitian (deviation {deviation:.3e} exceeds {tol:.1e})"
         )
 
 
-def hermiticity_defect(op) -> float:
-    """Largest entrywise deviation of ``op`` from its own adjoint."""
-    arr = np.asarray(op, dtype=complex)
-    return float(np.abs(arr - arr.conj().T).max())
+def hermiticity_defects(ops) -> np.ndarray:
+    """Largest entrywise |A - A^dagger| of each operator in a (..., d, d) stack."""
+    arr = np.asarray(ops)
+    return np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def min_eigenvalues(ops) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian operator in a (..., d, d) stack.
+
+    Qubit operators (d = 2) use the closed form (tr - |r|)/2 with r the
+    Pauli trace triple; other dimensions use ``np.linalg.eigvalsh``.
+    """
+    arr = np.asarray(ops, dtype=complex)
+    if arr.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(arr)[..., 0]
+    traces = np.einsum("...ii->...", arr).real
+    return 0.5 * (traces - np.linalg.norm(_pauli_traces(arr), axis=-1))
 
 
 def bloch_vector(op) -> np.ndarray:
@@ -110,8 +123,7 @@ def eig2(op, degeneracy_tol: float = DEGENERATE_DIRECTION):
 
 def psd_check(op, tol: float = POSITIVITY) -> bool:
     """True iff both eigenvalues of the Hermitian ``op`` are >= -tol."""
-    (_, lmin), _ = eig2(op)
-    return lmin >= -tol
+    return bool(min_eigenvalues(require_hermitian(op)) >= -tol)
 
 
 def direction_projectors(direction, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ roomier to absorb accumulated floating-point error.
 
 HERMITICITY = 1e-12
 RECONSTRUCTION = 1e-12
-STATE_NORM = 1e-9
 POSITIVITY = 1e-9
 NORMALIZATION = 1e-9
 NO_SIGNALING = 1e-9
@@ -19,11 +18,8 @@ def defaults() -> dict[str, float]:
     """Effective tolerance set, keyed by the names the CLI accepts."""
     return {
         "hermiticity": HERMITICITY,
-        "reconstruction": RECONSTRUCTION,
-        "state-norm": STATE_NORM,
         "positivity": POSITIVITY,
         "normalization": NORMALIZATION,
         "no-signaling": NO_SIGNALING,
         "tie": VIOLATION_TIE,
-        "degenerate": DEGENERATE_DIRECTION,
     }

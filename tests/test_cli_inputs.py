@@ -33,6 +33,12 @@ def enumerations(monkeypatch):
 BAD_SCHEMAS = [[1], "x", None]
 
 
+def assert_input_error(code, out, err, fragment):
+    assert code == 2
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err and out == ""
+
+
 class TestNonIntegerSchema:
     @pytest.mark.parametrize("schema", BAD_SCHEMAS)
     def test_assemblage_file_is_an_input_error(self, tmp_path, capsys, schema):
@@ -87,3 +93,65 @@ class TestEnumerationCount:
         assert code == 0
         assert json.loads(out)["bell_locality"]["bell_local"] is False
         assert len(enumerations) == 8
+
+
+class TestDecodeFaults:
+    def test_malformed_member_entry(self, tmp_path, capsys):
+        doc = fileio.assemblage_to_jsonable(builtin_assemblage("singlet-ZX"))
+        doc["members"]["b=0|y=0"][0][0] = [[1], 0]
+        path = tmp_path / "assemblage.json"
+        path.write_text(json.dumps(doc))
+        assert_input_error(*run(capsys, "validate", str(path)), "members['b=0|y=0']")
+
+    def test_non_numeric_local_bound(self, tmp_path, capsys):
+        doc = fileio.inequality_to_jsonable(build_chsh())
+        doc["local_bound"] = [2]
+        path = tmp_path / "inequality.json"
+        path.write_text(json.dumps(doc))
+        assert_input_error(*run(capsys, "bound", str(path)), "local_bound: expected a number")
+
+    @pytest.mark.parametrize("entry", [None, float("nan")])
+    def test_non_finite_density_matrix_entry(self, tmp_path, capsys, entry):
+        matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+        matrix[1][1] = matrix[2][2] = [0.5, 0.0]
+        matrix[1][2] = matrix[2][1] = [-0.5, 0.0]
+        matrix[0][3][1] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"format": "density-matrix", "matrix": matrix}))
+        out_path = tmp_path / "out.json"
+        code, out, err = run(capsys, "generate", str(path), "ZX", str(out_path))
+        assert_input_error(code, out, err, "matrix: entries must be finite")
+        assert not out_path.exists()
+
+    def test_huge_party_count_is_rejected_before_enumeration(self, tmp_path, capsys):
+        doc = fileio.assemblage_to_jsonable(builtin_assemblage("singlet-ZX"))
+        doc["shape"]["inputs_per_party"] = [1e308]
+        path = tmp_path / "assemblage.json"
+        path.write_text(json.dumps(doc))
+        assert_input_error(
+            *run(capsys, "validate", str(path)), "got 4, need"
+        )
+
+    def test_dropped_member_is_named(self, tmp_path, capsys):
+        doc = fileio.assemblage_to_jsonable(builtin_assemblage("singlet-ZX"))
+        del doc["members"]["b=1|y=0"]
+        path = tmp_path / "assemblage.json"
+        path.write_text(json.dumps(doc))
+        assert_input_error(*run(capsys, "validate", str(path)), "missing [((1,), (0,))]")
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("name", ["state-norm", "reconstruction", "degenerate"])
+    def test_removed_names_are_rejected(self, capsys, name):
+        code, out, err = run(capsys, "analyze", "singlet", "chsh", "--tol", f"{name}=1")
+        assert_input_error(code, out, err, f"bad --tol '{name}=1'")
+
+    def test_manifest_lists_the_applied_tolerances(self, capsys):
+        _, out, _ = run(capsys, "analyze", "singlet", "chsh", "--json")
+        assert list(json.loads(out)["manifest"]["tolerances"]) == [
+            "hermiticity",
+            "positivity",
+            "normalization",
+            "no-signaling",
+            "tie",
+        ]
