@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override a tolerance (names: %s)" % ", ".join(tolerances.defaults()),
+        help="override a tolerance (names: %s; bound takes none)"
+        % ", ".join(tolerances.defaults()),
     )
 
     parser = argparse.ArgumentParser(
@@ -566,11 +567,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    tol = _effective_tolerances(args)
+    if args.tol:  # enumeration is exact and applies no tolerance
+        raise InputError(f"bad --tol {args.tol[0]!r}; bound applies no tolerance")
     inequality, label = _resolve_inequality(args.inequality, enumerate_bound=False)
     bound = local_bound_enumerate(inequality, cap=args.cap)
     count = strategy_count(inequality.shape)
-    manifest = RunManifest("bound", {"inequality": label}, args.seed, tol)
+    manifest = RunManifest("bound", {"inequality": label}, args.seed, {})
     if args.json:
         doc = {
             "format": "bound-report",

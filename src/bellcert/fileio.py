@@ -172,6 +172,8 @@ def inequality_from_jsonable(data) -> BellInequality:
         local_bound = float(local_bound)
     except (TypeError, ValueError):
         raise ValueError(f"local_bound: expected a number, got {local_bound!r}") from None
+    if not np.isfinite(local_bound):
+        raise ValueError(f"local_bound: expected a finite number, got {local_bound!r}")
     name = data.get("name")
     try:
         return BellInequality(shape, coefficients, local_bound, name)

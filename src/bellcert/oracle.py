@@ -12,7 +12,6 @@ that it never relies on the closed-form expression being checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import pi, prod, sqrt
 
 import numpy as np
@@ -239,11 +238,16 @@ def local_bound_enumerate(
 ) -> float:
     """Exact maximum of beta . P over all local deterministic strategies.
 
-    Untrusted response functions are enumerated exhaustively; for each, the
-    trusted party's best response decomposes per input, so her optimum is
-    taken in closed form instead of looping over her 2**m functions (the
-    result is identical).  Sums of integer coefficients are exact in floats
-    at these sizes.
+    Every untrusted response function is visited, one party at a time: beta
+    is contracted against each party's one-hot response table over that
+    party's (b, y) axes, which leaves one (a, x) table per strategy.  For each
+    untrusted strategy the trusted party's best response decomposes per
+    input, so the trusted optimum is taken in closed form, the sum over x of
+    the max over a, instead of looping over the trusted party's 2**m
+    functions (the result is identical).  Response functions are generated
+    in blocks, so no working array holds more than ``_BLOCK`` floats (unless
+    beta itself does), whatever the strategy count.  Sums of integer
+    coefficients are exact in floats at these sizes.
     """
     shape = inequality.shape
     total = strategy_count(shape)
@@ -251,20 +255,57 @@ def local_bound_enumerate(
         raise ValueError(
             f"{total} deterministic strategies exceed the enumeration cap {cap}"
         )
-    beta = inequality.coefficients
-    parties = shape.untrusted_parties
-    response_sets = [
-        list(product(range(o), repeat=m))
-        for o, m in zip(shape.outputs_per_party, shape.inputs_per_party)
-    ]
-    all_inputs = list(shape.input_strings())
+    k = shape.untrusted_parties
+    # (b_1, y_1, ..., b_k, y_k, a, x) and a trailing axis of strategies so far
+    axes = [ax for p in range(k) for ax in (1 + p, 2 + k + p)] + [0, 1 + k]
+    work = np.ascontiguousarray(inequality.coefficients.transpose(axes))[..., None]
+    parties = list(zip(shape.outputs_per_party, shape.inputs_per_party))
+    return _best_strategy(work, parties)
+
+
+# Largest working array of the enumeration, in float64 entries (32 MiB).
+_BLOCK = 1 << 22
+
+
+def _best_strategy(work: np.ndarray, parties: list[tuple[int, int]]) -> float:
+    """Max over the parties' response functions of sum_x max_a.
+
+    ``work`` has axes (b, y, later parties' (b, y) pairs, a, x, strategies
+    so far), where (b, y) belong to ``parties[0]``.  Its response functions
+    run in blocks: the functions of one block share their answers to the
+    first ``high`` inputs, which add one fixed term, and run through every
+    answer to the last ``low`` inputs, whose contraction every block shares.
+    """
+    (outputs, inputs), later = parties[0], parties[1:]
+    per_function = max(outputs * inputs, prod(work.shape[2:]))
+    low = inputs
+    while low and outputs**low * per_function > _BLOCK:
+        low -= 1
+    high = inputs - low
+    # (functions, later parties' (b, y) pairs, a, x, strategies so far)
+    shared = np.tensordot(_response_table(outputs, low), work[:, high:], axes=2)
     best = -np.inf
-    for responses in product(*response_sets):
-        per_x = np.zeros((2, shape.trusted_inputs))
-        for y in all_inputs:
-            b = tuple(responses[i][y[i]] for i in range(parties))
-            per_x += beta[(slice(None), *b, slice(None), *y)]
-        value = float(per_x.max(axis=0).sum())
-        if value > best:
-            best = value
+    for block in range(outputs**high):
+        answers = [block // outputs ** (high - 1 - y) % outputs for y in range(high)]
+        part = shared + work[answers, range(high)].sum(axis=0) if high else shared
+        if later:  # fold the functions into the strategies axis
+            part = np.ascontiguousarray(np.moveaxis(part, 0, -2))
+            value = _best_strategy(part.reshape(*part.shape[:-2], -1), later)
+        else:  # the trusted party is dichotomic
+            value = float(np.maximum(part[:, 0], part[:, 1]).sum(axis=1).max())
+        best = max(best, value)
     return best
+
+
+def _response_table(outputs: int, inputs: int) -> np.ndarray:
+    """One-hot table T[s, b, y] = [response function s answers b to input y].
+
+    Function s answers input y with base-``outputs`` digit y of s, the first
+    input taking the most significant digit, as in ``itertools.product``.
+    """
+    index = np.arange(outputs**inputs)
+    table = np.zeros((outputs**inputs, outputs, inputs))
+    for y in range(inputs):
+        digit = index // outputs ** (inputs - 1 - y) % outputs
+        table[:, :, y] = digit[:, None] == np.arange(outputs)
+    return table

@@ -110,6 +110,16 @@ class TestDecodeFaults:
         path.write_text(json.dumps(doc))
         assert_input_error(*run(capsys, "bound", str(path)), "local_bound: expected a number")
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_non_finite_local_bound_is_named(self, tmp_path, capsys, bound):
+        doc = fileio.inequality_to_jsonable(build_chsh())
+        doc["local_bound"] = bound
+        path = tmp_path / "inequality.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "bound", str(path))
+        assert_input_error(code, out, err, "")
+        assert err.startswith("error: local_bound:")
+
     @pytest.mark.parametrize("entry", [None, float("nan")])
     def test_non_finite_density_matrix_entry(self, tmp_path, capsys, entry):
         matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
@@ -155,3 +165,12 @@ class TestTolerances:
             "no-signaling",
             "tie",
         ]
+
+    @pytest.mark.parametrize("tol", ["tie=5", "positivity=1", "bogus=1"])
+    def test_bound_takes_no_tolerance(self, capsys, tol):
+        code, out, err = run(capsys, "bound", "chsh", "--tol", tol)
+        assert_input_error(code, out, err, f"bad --tol '{tol}'")
+
+    def test_bound_manifest_lists_no_tolerance(self, capsys):
+        _, out, _ = run(capsys, "bound", "chsh", "--json")
+        assert json.loads(out)["manifest"]["tolerances"] == {}
