@@ -86,6 +86,19 @@ class ScenarioShape:
         )
 
 
+# the bipartite scenario with two inputs and two outputs per party (CHSH's)
+CHSH_SHAPE = ScenarioShape(1, (2,), (2,), 2)
+
+
+def require_chsh_shape(shape: ScenarioShape, needs: str) -> None:
+    """Raise ``ValueError`` unless ``shape`` is :data:`CHSH_SHAPE`; the
+    message starts with ``needs`` (what the caller needs it for)."""
+    if shape != CHSH_SHAPE:
+        raise ValueError(
+            f"{needs} a bipartite 2-input/2-output assemblage, got {shape}"
+        )
+
+
 @dataclass(frozen=True)
 class Violation:
     """One validation finding: which invariant failed, where, and by how much."""
@@ -472,13 +485,12 @@ def builtin_assemblage(name: str, **params) -> Assemblage:
     """
     if name == "uniform-noise":
         _reject_params(name, params)
-        shape = ScenarioShape(1, (2,), (2,), 2)
         members = {
             ((b,), (y,)): np.eye(2, dtype=complex) / 4.0
             for b in range(2)
             for y in range(2)
         }
-        return Assemblage(shape, members)
+        return Assemblage(CHSH_SHAPE, members)
     if name == "singlet-ZX":
         _reject_params(name, params)
         return generate_from_state(singlet_state(), zx_measurements())

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, fileio, tolerances
 from .assemblages import (
+    CHSH_SHAPE,
     Assemblage,
-    ScenarioShape,
     UntrustedMeasurementSet,
     builtin_assemblage,
     generate_from_state,
@@ -52,6 +52,18 @@ AXIS_DIRECTIONS = {
 }
 
 REPORT_SCHEMA = 1
+
+# The tolerances each subcommand applies; --tol accepts only these names.
+APPLIED_TOLERANCES = {
+    "analyze": ("hermiticity", "positivity", "normalization", "no-signaling", "tie"),
+    "validate": ("hermiticity", "positivity", "normalization", "no-signaling"),
+    "generate": (),
+    "bound": (),
+}
+
+# `analyze` checks the local bound of a file inequality by enumeration when
+# it has at most this many deterministic strategies (chained:8 has 2**24).
+FILE_BOUND_CHECK_LIMIT = 1 << 24
 
 
 class InputError(Exception):
@@ -105,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override a tolerance (names: %s; bound takes none)"
-        % ", ".join(tolerances.defaults()),
+        help="override a tolerance (names: %s; validate takes all but tie, "
+        "generate and bound take none)" % ", ".join(tolerances.defaults()),
     )
 
     parser = argparse.ArgumentParser(
@@ -183,10 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_tolerances(args) -> dict[str, float]:
-    effective = tolerances.defaults()
+    """Defaults of the tolerances ``args.command`` applies, with overrides."""
+    applied = APPLIED_TOLERANCES[args.command]
+    effective = {k: v for k, v in tolerances.defaults().items() if k in applied}
     for item in args.tol:
         name, sep, value = item.partition("=")
         if not sep or name not in effective:
+            if not effective:
+                raise InputError(f"bad --tol {item!r}; {args.command} applies no tolerance")
             raise InputError(
                 f"bad --tol {item!r}; expected NAME=VALUE with NAME in "
                 f"{', '.join(effective)}"
@@ -196,6 +212,26 @@ def _effective_tolerances(args) -> dict[str, float]:
         except ValueError:
             raise InputError(f"bad --tol value {value!r} for {name}") from None
     return effective
+
+
+def _file_bound_check(inequality: BellInequality, tie: float) -> dict:
+    """Check a file inequality's claimed local bound against enumeration.
+
+    Returns ``{"enumerated_local_bound": value}``, with ``None`` for
+    inequalities above :data:`FILE_BOUND_CHECK_LIMIT` strategies.  A claimed
+    bound below the enumerated one by more than ``tie`` would let a local
+    behavior pass as a violation, so it is an input error; a claimed bound
+    above it only makes the verdict conservative and stays in use.
+    """
+    if strategy_count(inequality.shape) > FILE_BOUND_CHECK_LIMIT:
+        return {"enumerated_local_bound": None}
+    enumerated = local_bound_enumerate(inequality)
+    if inequality.local_bound < enumerated - tie:
+        raise InputError(
+            f"local_bound: the file claims {inequality.local_bound!r}, below the "
+            f"enumerated local bound {enumerated!r}"
+        )
+    return {"enumerated_local_bound": enumerated}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +429,7 @@ def _violation_jsonable(violation) -> dict:
 
 
 def _is_chsh_family(inequality: BellInequality) -> bool:
-    if inequality.shape != ScenarioShape(1, (2,), (2,), 2):
+    if inequality.shape != CHSH_SHAPE:
         return False
     try:
         variants = chsh_symmetries()
@@ -410,6 +446,9 @@ def _cmd_analyze(args) -> int:
     tol = _effective_tolerances(args)
     assemblage, a_label = _resolve_assemblage(args.assemblage)
     inequality, i_label = _resolve_inequality(args.inequality)
+    bound_check = None
+    if i_label.startswith("sha256:"):  # the local bound came from a file
+        bound_check = _file_bound_check(inequality, tol["tie"])
 
     hard = validate(
         assemblage,
@@ -479,6 +518,7 @@ def _cmd_analyze(args) -> int:
                 "source": i_label,
                 "name": inequality.name,
                 "local_bound": inequality.local_bound,
+                **(bound_check or {}),
             },
             "criterion": report.to_jsonable(),
         }
@@ -487,15 +527,20 @@ def _cmd_analyze(args) -> int:
         if oracle_block is not None:
             doc["oracle"] = oracle_block
         if steering_block is not None:
-            doc["steering"] = steering_block
+            rows = (np.array(steering_block["optimal_basis"]) + 0.0).tolist()  # no -0.0
+            doc["steering"] = {**steering_block, "optimal_basis": rows}
         print(json.dumps(doc, indent=2))
     else:
-        _render_analysis(assemblage, inequality, report, locality, oracle_block, steering_block)
+        _render_analysis(
+            assemblage, inequality, bound_check, report, locality, oracle_block, steering_block
+        )
         print(manifest.render())
     return 0 if report.violated else 1
 
 
-def _render_analysis(assemblage, inequality, report, locality, oracle_block, steering_block):
+def _render_analysis(
+    assemblage, inequality, bound_check, report, locality, oracle_block, steering_block
+):
     shape = assemblage.shape
     print(
         f"scenario: {shape.untrusted_parties} untrusted "
@@ -504,6 +549,13 @@ def _render_analysis(assemblage, inequality, report, locality, oracle_block, ste
         f"trusted inputs {shape.trusted_inputs}"
     )
     print(f"inequality: {inequality.name or 'unnamed'} (local bound {inequality.local_bound:.9g})")
+    if bound_check is not None:
+        enumerated = bound_check["enumerated_local_bound"]
+        if enumerated is None:
+            limit = FILE_BOUND_CHECK_LIMIT
+            print(f"enumerated local bound: not checked (more than {limit} strategies)")
+        else:
+            print(f"enumerated local bound: {enumerated:.9g}")
     for x in range(shape.trusted_inputs):
         d = report.opt_directions[x]
         free = "  [direction-free]" if report.direction_free[x] else ""
@@ -567,12 +619,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.tol:  # enumeration is exact and applies no tolerance
-        raise InputError(f"bad --tol {args.tol[0]!r}; bound applies no tolerance")
+    tol = _effective_tolerances(args)  # enumeration is exact and applies none
     inequality, label = _resolve_inequality(args.inequality, enumerate_bound=False)
     bound = local_bound_enumerate(inequality, cap=args.cap)
     count = strategy_count(inequality.shape)
-    manifest = RunManifest("bound", {"inequality": label}, args.seed, {})
+    manifest = RunManifest("bound", {"inequality": label}, args.seed, tol)
     if args.json:
         doc = {
             "format": "bound-report",

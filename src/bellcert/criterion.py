@@ -1,23 +1,28 @@
 """Closed-form certification of Bell violations with one trusted qubit.
 
-For a dichotomic trusted party the maximal value of a linear Bell functional
-over all trusted projective measurements splits into a
-measurement-independent constant plus, per trusted input x, the Euclidean
-norm of the Bloch vector of the coefficient-weighted member sum
+Everything here reads one table.  For trusted output a and input x let
 
-    sum_{b,y} (1/2) (beta_{0,b,x,y} - beta_{1,b,x,y}) sigma_{b|y}.
+    D_{a,x} = sum_{b,y} beta_{a,b,x,y} sigma_{b|y};
+
+a trusted dichotomic measurement (M, I - M) at input x scores
+Tr[M D_{0,x}] + Tr[(I - M) D_{1,x}].  :func:`pauli_contraction` gives the
+trace and Bloch vector of every D_{a,x}.  Over projective measurements the
+score splits into the measurement-independent constant
+(1/2) sum_a Tr D_{a,x} plus, per input, the Euclidean norm of
+(1/2)(r(D_{0,x}) - r(D_{1,x})).
 
 The norm is attained by the rank-1 projective measurement along that Bloch
 direction, so the certificate is exact and constructive: the report carries
 the optimal measurements and they reproduce the reported value through the
-Born rule.  The value is the maximum over projective measurements; for
+Born rule.  The value is the maximum over projective measurements only.  For
 inequalities whose violations cannot grow under stochastic relabeling of
-the trusted outputs this decides violation against arbitrary dichotomic
-POVMs as well, since any POVM strategy is a projective one followed by such
-a relabeling (see :func:`povm_reduce`).  A POVM with unbalanced effect
-traces can exceed the projective maximum on a NON-violating assemblage, but
-it can neither violate when the projective maximum is below the bound nor
-beat it when it is above.
+the trusted outputs it decides violation against arbitrary dichotomic POVMs
+as well, since any POVM strategy is a projective one followed by such a
+relabeling (see :func:`povm_reduce`).  For other inequalities a POVM with
+unbalanced effect traces, the trivial (I, 0) among them, can score above the
+projective maximum, and can violate when the projective maximum is below
+the bound: a "not violated" verdict then covers projective measurements
+only.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit
-from .assemblages import Assemblage, ScenarioShape
-from .inequalities import BellInequality, Distribution, MixingKernel
+from .assemblages import Assemblage, require_chsh_shape
+from .inequalities import BellInequality, Distribution, MixingKernel, build_chsh
 from .tolerances import (
     DEGENERATE_DIRECTION,
     POSITIVITY,
@@ -121,12 +126,26 @@ def _require_matching(assemblage: Assemblage, inequality: BellInequality) -> Non
         )
 
 
-def _flat_coefficients(inequality: BellInequality) -> np.ndarray:
-    """Coefficients reshaped to (2, #b strings, m, #y strings)."""
-    s = inequality.shape
-    return inequality.coefficients.reshape(
-        2, s.n_output_strings, s.trusted_inputs, s.n_input_strings
-    )
+def pauli_contraction(assemblage: Assemblage, coefficients) -> np.ndarray:
+    """Pauli table K[a, x] = pauli_table(D_{a,x}), shape (2, m, 4), with
+    D_{a,x} = sum_{b,y} coefficients[a, b, x, y] sigma_{b|y}.
+
+    ``coefficients`` has the assemblage's distribution shape.  Every member
+    is checked for Hermiticity first, also one whose coefficients are all
+    zero.
+    """
+    s = assemblage.shape
+    m = s.trusted_inputs
+    beta = np.reshape(coefficients, (2, s.n_output_strings, m, s.n_input_strings))
+    members = qubit.require_hermitian_stack(assemblage.stacked_members())
+    # one matmul: rows (a, x) of beta against the members' rows (b, y)
+    weights = beta.transpose(0, 2, 1, 3).reshape(2 * m, -1)
+    return (weights @ qubit.pauli_table(members).reshape(-1, 4)).reshape(2, m, 4)
+
+
+def _directions(table: np.ndarray) -> np.ndarray:
+    """(1/2)(r(D_{0,x}) - r(D_{1,x})), one row per trusted input x."""
+    return 0.5 * (table[0, :, 1:] - table[1, :, 1:]) + 0.0  # normalizes -0.0
 
 
 def optimal_direction(
@@ -140,14 +159,7 @@ def optimal_direction(
     _require_matching(assemblage, inequality)
     if not 0 <= x < inequality.shape.trusted_inputs:
         raise ValueError(f"trusted input {x} out of range")
-    beta = _flat_coefficients(inequality)
-    return _directions(assemblage, 0.5 * (beta[0] - beta[1]))[x]
-
-
-def _directions(assemblage: Assemblage, weights: np.ndarray) -> np.ndarray:
-    """sum_{b,y} weights[b, x, y] r(sigma_{b|y}), one row per trusted input x."""
-    blochs = qubit.bloch_stack(assemblage.stacked_members())
-    return np.einsum("bxy,byc->xc", weights, blochs)
+    return _directions(pauli_contraction(assemblage, inequality.coefficients))[x]
 
 
 def _verdict(lhs: float, bound: float, tie_tol: float) -> tuple[bool, bool]:
@@ -176,12 +188,10 @@ def evaluate(
     floating-point equality.
     """
     _require_matching(assemblage, inequality)
-    beta = _flat_coefficients(inequality)
-    constant = 0.5 * float(np.einsum("abxy,by->", beta, assemblage.trace_table()))
-    directions = _directions(assemblage, 0.5 * (beta[0] - beta[1]))
+    table = pauli_contraction(assemblage, inequality.coefficients)
     return _report(
-        directions,
-        constant,
+        _directions(table),
+        0.5 * float(table[..., 0].sum()),
         inequality.local_bound,
         tie_tol,
         degeneracy_tol,
@@ -247,22 +257,13 @@ def distribution_from(
 # ---------------------------------------------------------------------------
 
 
-def _require_chsh_shape(shape: ScenarioShape) -> None:
-    expected = ScenarioShape(1, (2,), (2,), 2)
-    if shape != expected:
-        raise ValueError(
-            "the fast path needs a bipartite 2-input/2-output assemblage, "
-            f"got {shape}"
-        )
-
-
-_CHSH_SIGNS = np.fromfunction(lambda b, x, y: (-1.0) ** (b + x * y), (2, 2, 2))
+_CHSH_COEFFICIENTS = build_chsh().coefficients  # read-only
 
 
 def chsh_directions(assemblage: Assemblage) -> np.ndarray:
     """Optimal vectors r(sum_{b,y} (-1)^(b+xy) sigma_{b|y}), one row per x."""
-    _require_chsh_shape(assemblage.shape)
-    return _directions(assemblage, _CHSH_SIGNS)
+    require_chsh_shape(assemblage.shape, "the fast path needs")
+    return _directions(pauli_contraction(assemblage, _CHSH_COEFFICIENTS))
 
 
 def chsh_fast(

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .assemblages import ScenarioShape
+from .assemblages import CHSH_SHAPE, ScenarioShape
 from .tolerances import NORMALIZATION
 
 
@@ -210,8 +210,7 @@ def _chsh_tensor() -> np.ndarray:
 
 def build_chsh() -> BellInequality:
     """CHSH: beta = (-1)^(a+b) (-1)^(xy), local bound 2."""
-    shape = ScenarioShape(1, (2,), (2,), 2)
-    return BellInequality(shape, _chsh_tensor(), 2.0, name="chsh")
+    return BellInequality(CHSH_SHAPE, _chsh_tensor(), 2.0, name="chsh")
 
 
 def chsh_symmetries() -> list[BellInequality]:
@@ -222,7 +221,6 @@ def chsh_symmetries() -> list[BellInequality]:
     """
     from .oracle import local_bound_enumerate  # oracle imports this module
 
-    shape = ScenarioShape(1, (2,), (2,), 2)
     base = _chsh_tensor()
     variants = []
     for flip_x, flip_y, negate in product((False, True), repeat=3):
@@ -238,9 +236,9 @@ def chsh_symmetries() -> list[BellInequality]:
             coeffs = -coeffs
             tags.append("sign")
         name = "chsh" if not tags else "chsh/" + "+".join(tags)
-        candidate = BellInequality(shape, np.ascontiguousarray(coeffs), 0.0, name)
+        candidate = BellInequality(CHSH_SHAPE, np.ascontiguousarray(coeffs), 0.0, name)
         bound = local_bound_enumerate(candidate)
-        variants.append(BellInequality(shape, candidate.coefficients, bound, name))
+        variants.append(BellInequality(CHSH_SHAPE, candidate.coefficients, bound, name))
     return variants
 
 

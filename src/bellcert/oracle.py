@@ -16,8 +16,9 @@ from math import pi, prod, sqrt
 
 import numpy as np
 
+from . import qubit
 from .assemblages import Assemblage
-from .criterion import DichotomicPOVM, distribution_from, evaluate
+from .criterion import DichotomicPOVM, distribution_from, evaluate, pauli_contraction
 from .inequalities import BellInequality, bell_value
 from .sampling import random_dichotomic_povm
 
@@ -79,44 +80,23 @@ def _direction(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _per_input_operators(
-    assemblage: Assemblage, inequality: BellInequality
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each x, the pair D_a = sum_{b,y} beta[a,b,x,y] sigma_{b|y}.
-
-    The search contribution of a measurement (M0, M1) at input x is
-    Re(Tr[M0 D0] + Tr[M1 D1]); this is the Born-rule contraction with the
-    sums over members carried out once up front.
-    """
-    shape = inequality.shape
-    beta = inequality.coefficients.reshape(
-        2, shape.n_output_strings, shape.trusted_inputs, shape.n_input_strings
+def _projective_score(theta, phi, constant: float, spread: np.ndarray):
+    """Vectorized score constant + (1/2) n(theta, phi) . spread of the
+    projective pair along n, where constant = (1/2)(Tr D_0 + Tr D_1) and
+    spread = r(D_0) - r(D_1) at one input."""
+    sin_theta = np.sin(theta)
+    along = (
+        sin_theta * np.cos(phi) * spread[0]
+        + sin_theta * np.sin(phi) * spread[1]
+        + np.cos(theta) * spread[2]
     )
-    members = assemblage.stacked_members()
-    stacked = np.einsum("abxy,byij->xaij", beta, members)
-    return [(stacked[x, 0], stacked[x, 1]) for x in range(shape.trusted_inputs)]
+    return constant + 0.5 * along
 
 
-def _contribution(effects, operators) -> float:
-    d0, d1 = operators
-    m0, m1 = effects
-    return float((np.einsum("ij,ji->", m0, d0) + np.einsum("ij,ji->", m1, d1)).real)
-
-
-def _projective_contribution(theta, phi, operators) -> np.ndarray:
-    """Vectorized contribution of the projective pair along (theta, phi)."""
-    d0, d1 = operators
-    e = d0 - d1
-    c2 = np.cos(theta / 2.0) ** 2
-    s2 = np.sin(theta / 2.0) ** 2
-    cross = np.cos(theta / 2.0) * np.sin(theta / 2.0)
-    phase = np.exp(1j * phi)
-    value = (
-        c2 * e[0, 0]
-        + s2 * e[1, 1]
-        + cross * (np.conj(phase) * e[1, 0] + phase * e[0, 1])
-    )
-    return (value + np.trace(d1)).real
+def _score(effects, table: np.ndarray) -> float:
+    """Tr[M_0 D_0] + Tr[M_1 D_1] = (1/2) sum_a pauli_table(M_a) . K[a] for
+    the rows K[a] = pauli_table(D_a) of one input."""
+    return 0.5 * float(np.sum(qubit.pauli_table(np.asarray(effects)) * table))
 
 
 def _golden_max(f, lo: float, hi: float, iterations: int) -> float:
@@ -155,7 +135,8 @@ def max_violation_search(
     if assemblage.shape != inequality.shape:
         raise ValueError("assemblage and inequality shapes differ")
     rng = np.random.default_rng(cfg.seed)
-    operators = _per_input_operators(assemblage, inequality)
+    # per input x, the rows (Tr D_a, r(D_a)) of D_a = sum_{b,y} beta[a,b,x,y] sigma_{b|y}
+    tables = pauli_contraction(assemblage, inequality.coefficients).swapaxes(0, 1)
 
     thetas = np.linspace(0.0, pi, cfg.grid_resolution + 1)
     phis = np.arange(2 * cfg.grid_resolution) * (pi / cfg.grid_resolution)
@@ -168,8 +149,10 @@ def max_violation_search(
     per_input = np.zeros(inequality.shape.trusted_inputs)
     candidates = 0
 
-    for x, ops in enumerate(operators):
-        values = _projective_contribution(theta_grid, phi_grid, ops)
+    for x, table in enumerate(tables):
+        constant = 0.5 * (table[0, 0] + table[1, 0])
+        spread = table[0, 1:] - table[1, 1:]
+        values = _projective_score(theta_grid, phi_grid, constant, spread)
         candidates += values.size
         flat_best = int(np.argmax(values))
         ti, pi_idx = np.unravel_index(flat_best, values.shape)
@@ -180,19 +163,19 @@ def max_violation_search(
         step = cfg.angular_step
         if cfg.refine_iterations > 0:
             fine_theta = _golden_max(
-                lambda t: _projective_contribution(t, best_phi, ops),
+                lambda t: _projective_score(t, best_phi, constant, spread),
                 max(best_theta - step, 0.0),
                 min(best_theta + step, pi),
                 cfg.refine_iterations,
             )
             fine_phi = _golden_max(
-                lambda p: _projective_contribution(fine_theta, p, ops),
+                lambda p: _projective_score(fine_theta, p, constant, spread),
                 best_phi - step,
                 best_phi + step,
                 cfg.refine_iterations,
             )
             candidates += 2 * (cfg.refine_iterations + 2)
-            refined = float(_projective_contribution(fine_theta, fine_phi, ops))
+            refined = float(_projective_score(fine_theta, fine_phi, constant, spread))
             if refined > best_value:  # keep the grid point if refinement regressed
                 best_theta, best_phi, best_value = fine_theta, fine_phi, refined
         best = DichotomicPOVM.from_direction(_direction(best_theta, best_phi))
@@ -200,7 +183,7 @@ def max_violation_search(
         for _ in range(cfg.povm_samples):
             povm = random_dichotomic_povm(rng)
             candidates += 1
-            value = _contribution(povm.effects, ops)
+            value = _score(povm.effects, table)
             if value > best_value:
                 best_value = value
                 best = povm
@@ -208,7 +191,7 @@ def max_violation_search(
         if closed_form is not None:
             candidate = closed_form.optimal_measurements[x]
             candidates += 1
-            value = _contribution(candidate.effects, ops)
+            value = _score(candidate.effects, table)
             if value > best_value:
                 best_value = value
                 best = candidate

@@ -19,8 +19,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 # Tr[O P] = sum_ij O_ij P_ji: a row-major flattened operator times the
-# matching column of flattened transposed Paulis, one column per Pauli
-_PAULI_COLUMNS = np.stack([p.T.reshape(4) for p in PAULIS], axis=1)
+# matching column of flattened transposed matrices, one column each for
+# I, X, Y and Z
+_PAULI_COLUMNS = np.stack([p.T.reshape(4) for p in (IDENTITY, *PAULIS)], axis=1)
 
 for _m in (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _PAULI_COLUMNS):
     _m.setflags(write=False)
@@ -33,17 +34,22 @@ def require_hermitian(op, tol: float = HERMITICITY) -> np.ndarray:
         raise ValueError(f"expected a 2x2 operator, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator has non-finite entries")
-    _check_hermitian(arr, tol)
-    return arr
+    return require_hermitian_stack(arr, tol)
 
 
-def _check_hermitian(arr: np.ndarray, tol: float) -> None:
+def require_hermitian_stack(ops, tol: float = HERMITICITY) -> np.ndarray:
+    """Return ``ops`` as a (..., 2, 2) complex array, raising if any operator
+    in it deviates from its adjoint by more than ``tol`` in some entry."""
+    arr = np.asarray(ops, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 operators, got shape {arr.shape}")
     # "not <=" also rejects the NaN deviation of a non-finite entry
     deviation = float(hermiticity_defects(arr).max(initial=0.0))
     if not deviation <= tol:
         raise ValueError(
             f"operator is not Hermitian (deviation {deviation:.3e} exceeds {tol:.1e})"
         )
+    return arr
 
 
 def hermiticity_defects(ops) -> np.ndarray:
@@ -61,13 +67,25 @@ def min_eigenvalues(ops) -> np.ndarray:
     arr = np.asarray(ops, dtype=complex)
     if arr.shape[-2:] != (2, 2):
         return np.linalg.eigvalsh(arr)[..., 0]
-    traces = np.einsum("...ii->...", arr).real
-    return 0.5 * (traces - np.linalg.norm(_pauli_traces(arr), axis=-1))
+    table = pauli_table(arr)
+    return 0.5 * (table[..., 0] - np.linalg.norm(table[..., 1:], axis=-1))
+
+
+def pauli_table(ops) -> np.ndarray:
+    """(Tr O, Tr OX, Tr OY, Tr OZ) of each operator in a (..., 2, 2) stack.
+
+    The result has shape (..., 4) and holds the real parts; Hermiticity is
+    not checked here (the Bloch functions below are checked slices of it).
+    Every entry is one rounded sum of two exact products, so the trace
+    column equals the diagonal sum bit for bit.
+    """
+    arr = np.asarray(ops, dtype=complex)
+    return (arr.reshape(*arr.shape[:-2], 4) @ _PAULI_COLUMNS).real
 
 
 def bloch_vector(op) -> np.ndarray:
     """Pauli trace triple (Tr[OX], Tr[OY], Tr[OZ]) of a Hermitian operator."""
-    return _pauli_traces(require_hermitian(op))
+    return pauli_table(require_hermitian(op))[1:]
 
 
 def bloch_stack(ops) -> np.ndarray:
@@ -77,15 +95,7 @@ def bloch_stack(ops) -> np.ndarray:
     ``ValueError`` if any operator in the stack deviates from its adjoint by
     more than the Hermiticity tolerance in some entry.
     """
-    arr = np.asarray(ops, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a stack of 2x2 operators, got shape {arr.shape}")
-    _check_hermitian(arr, HERMITICITY)
-    return _pauli_traces(arr)
-
-
-def _pauli_traces(arr: np.ndarray) -> np.ndarray:
-    return (arr.reshape(*arr.shape[:-2], 4) @ _PAULI_COLUMNS).real
+    return pauli_table(require_hermitian_stack(ops))[..., 1:]
 
 
 def from_bloch(trace: float, r) -> np.ndarray:
@@ -105,9 +115,8 @@ def eig2(op, degeneracy_tol: float = DEGENERATE_DIRECTION):
     Degenerate spectra (Bloch norm below ``degeneracy_tol``) deterministically
     fall back to the computational-basis projectors.
     """
-    arr = require_hermitian(op)
-    trace = np.trace(arr).real
-    r = _pauli_traces(arr)
+    table = pauli_table(require_hermitian(op))
+    trace, r = table[0], table[1:]
     gap = float(np.linalg.norm(r))
     lmax = 0.5 * (trace + gap)
     lmin = 0.5 * (trace - gap)

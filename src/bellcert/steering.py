@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit
-from .assemblages import Assemblage, ScenarioShape
+from .assemblages import Assemblage, require_chsh_shape
 from .criterion import chsh_directions
 from .tolerances import DEGENERATE_DIRECTION
 
@@ -55,15 +55,6 @@ class PauliTriple:
         return tuple(qubit.from_bloch(0.0, 2.0 * v) for v in self.directions)
 
 
-def _require_two_two(shape: ScenarioShape) -> None:
-    expected = ScenarioShape(1, (2,), (2,), 2)
-    if shape != expected:
-        raise ValueError(
-            f"steering functionals need a bipartite 2-input/2-output "
-            f"assemblage, got {shape}"
-        )
-
-
 def correlator(assemblage: Assemblage, direction, y: int) -> float:
     """<A B_y> = sum_b (-1)^b Tr[sigma_{b|y} A] for A along a unit direction."""
     shape = assemblage.shape
@@ -79,9 +70,9 @@ def correlator(assemblage: Assemblage, direction, y: int) -> float:
 
 
 def _correlator_vectors(assemblage: Assemblage) -> np.ndarray:
-    """r(sigma_{0|y} - sigma_{1|y}) for every input y, one row each."""
-    stacked = assemblage.stacked_members()
-    return qubit.bloch_stack(stacked[0] - stacked[1])
+    """r(sigma_{0|y}) - r(sigma_{1|y}) for every input y, one row each."""
+    blochs = qubit.bloch_stack(assemblage.stacked_members())
+    return blochs[0] - blochs[1]
 
 
 def two_axis_steering_lhs(assemblage: Assemblage, basis: PauliTriple) -> float:
@@ -101,7 +92,7 @@ def three_axis_steering_lhs(assemblage: Assemblage, basis: PauliTriple) -> float
 
 
 def _axis_sum(assemblage: Assemblage, axes: np.ndarray) -> float:
-    _require_two_two(assemblage.shape)
+    require_chsh_shape(assemblage.shape, "steering functionals need")
     correlators = axes @ _correlator_vectors(assemblage).T
     plus = correlators[:, 0] + correlators[:, 1]
     minus = correlators[:, 0] - correlators[:, 1]

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from bellcert import build_chsh, builtin_assemblage, fileio, oracle
+from bellcert import (
+    BellInequality,
+    build_chained_svetlichny,
+    build_chsh,
+    builtin_assemblage,
+    fileio,
+    oracle,
+)
 from bellcert import cli
 from bellcert.cli import main
 
@@ -174,3 +181,91 @@ class TestTolerances:
     def test_bound_manifest_lists_no_tolerance(self, capsys):
         _, out, _ = run(capsys, "bound", "chsh", "--json")
         assert json.loads(out)["manifest"]["tolerances"] == {}
+
+
+class TestToleranceSetPerCommand:
+    @pytest.mark.parametrize("tol", ["tie=3", "positivity=1", "bogus=1"])
+    def test_generate_takes_no_tolerance(self, tmp_path, capsys, tol):
+        out_path = tmp_path / "out.json"
+        code, out, err = run(capsys, "generate", "singlet", "ZX", str(out_path), "--tol", tol)
+        assert_input_error(code, out, err, f"bad --tol '{tol}'; generate applies no tolerance")
+        assert not out_path.exists()
+
+    def test_generate_manifest_lists_no_tolerance(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "generate", "singlet", "ZX", str(tmp_path / "o.json"), "--json")
+        assert json.loads(out)["manifest"]["tolerances"] == {}
+
+    @pytest.mark.parametrize("tol", ["tie=5", "bogus=1"])
+    def test_validate_rejects_what_it_does_not_apply(self, capsys, tol):
+        code, out, err = run(capsys, "validate", "singlet", "--tol", tol)
+        assert_input_error(code, out, err, f"bad --tol '{tol}'")
+
+    def test_validate_manifest_lists_its_four_tolerances(self, capsys):
+        code, out, _ = run(capsys, "validate", "singlet", "--json", "--tol", "positivity=0.5")
+        assert code == 0
+        assert json.loads(out)["manifest"]["tolerances"] == {
+            "hermiticity": 1e-12,
+            "positivity": 0.5,
+            "normalization": 1e-9,
+            "no-signaling": 1e-9,
+        }
+
+
+def write_chsh_file(tmp_path, bound):
+    chsh = build_chsh()
+    path = tmp_path / f"chsh-{bound}.json"
+    fileio.save_inequality(BellInequality(chsh.shape, chsh.coefficients, bound, "file-chsh"), path)
+    return str(path)
+
+
+class TestFileLocalBound:
+    def test_a_bound_below_the_enumerated_one_is_an_input_error(self, tmp_path, capsys):
+        path = write_chsh_file(tmp_path, 1.5)
+        code, out, err = run(capsys, "analyze", "werner:0.6", path)
+        assert_input_error(code, out, err, "error: local_bound: ")
+        assert "1.5" in err and "2.0" in err
+
+    def test_a_bound_within_tie_below_is_accepted(self, tmp_path, capsys):
+        path = write_chsh_file(tmp_path, 2.0 - 1e-11)
+        code, out, _ = run(capsys, "analyze", "singlet", path, "--json")
+        assert code == 0
+        assert json.loads(out)["inequality"]["enumerated_local_bound"] == 2.0
+
+    def test_a_bound_above_stays_in_use_and_both_are_shown(self, tmp_path, capsys, enumerations):
+        path = write_chsh_file(tmp_path, 2.9)
+        code, out, _ = run(capsys, "analyze", "singlet", path, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["inequality"]["local_bound"] == 2.9
+        assert doc["inequality"]["enumerated_local_bound"] == 2.0
+        assert doc["criterion"]["local_bound"] == 2.9
+        assert enumerations.count("file-chsh") == 1
+        code, out, _ = run(capsys, "analyze", "singlet", path)
+        assert code == 1
+        assert "(local bound 2.9)\nenumerated local bound: 2\n" in out
+
+    def test_the_true_bound_keeps_the_chsh_family_check(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "analyze", "singlet", write_chsh_file(tmp_path, 2.0), "--json")
+        assert code == 0
+        assert json.loads(out)["bell_locality"]["bell_local"] is False
+
+    def test_above_the_limit_the_bound_is_not_checked(
+        self, tmp_path, capsys, monkeypatch, enumerations
+    ):
+        monkeypatch.setattr(cli, "FILE_BOUND_CHECK_LIMIT", 15)  # CHSH has 16 strategies
+        path = write_chsh_file(tmp_path, 1.5)
+        code, out, _ = run(capsys, "analyze", "singlet", path, "--json")
+        assert code == 0
+        assert json.loads(out)["inequality"]["enumerated_local_bound"] is None
+        assert "file-chsh" not in enumerations
+        _, out, _ = run(capsys, "analyze", "singlet", path)
+        assert "enumerated local bound: not checked (more than 15 strategies)" in out
+
+    def test_a_builtin_inequality_reports_no_check(self, capsys, enumerations):
+        _, out, _ = run(capsys, "analyze", "ghz-3", "svetlichny", "--json")
+        assert "enumerated_local_bound" not in json.loads(out)["inequality"]
+        assert enumerations == ["svetlichny"]
+
+    def test_the_limit_admits_chained_8(self):
+        shape = build_chained_svetlichny(8, 0.0).shape
+        assert oracle.strategy_count(shape) == cli.FILE_BOUND_CHECK_LIMIT

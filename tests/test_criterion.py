@@ -8,14 +8,18 @@ from bellcert import (
     apply_local_mixing,
     bell_value,
     build_chsh,
+    build_reducible_chsh,
     builtin_assemblage,
     chsh_fast,
     chsh_symmetries,
     distribution_from,
     evaluate,
+    generate_from_state,
     optimal_direction,
     povm_reduce,
     povm_reduction_kernel,
+    werner_state,
+    zx_measurements,
 )
 from bellcert.qubit import IDENTITY, from_bloch
 from bellcert.sampling import random_assemblage, random_dichotomic_povm
@@ -286,3 +290,18 @@ def test_defective_assemblage_can_still_be_held_for_diagnosis():
     a = Assemblage(TWO_TWO, members)
     report = evaluate(a, build_chsh())
     assert np.isfinite(report.lhs_value)
+
+
+def test_projective_verdict_misses_a_povm_violation_of_a_non_mixing_stable_inequality():
+    # evaluate maximizes over projective measurements only.  reducible-chsh
+    # is not mixing stable: answering a = 0 on trusted input 2, the POVM
+    # (I, 0), violates although the projective maximum is below the bound.
+    a = generate_from_state(werner_state(0.8), zx_measurements(), trusted_inputs=3)
+    ineq = build_reducible_chsh()
+    report = evaluate(a, ineq)
+    assert report.lhs_value == pytest.approx(2.7627417, abs=1e-7)
+    assert not report.violated and not report.marginal
+    measurements = [*report.optimal_measurements[:2], DichotomicPOVM((IDENTITY, np.zeros((2, 2))))]
+    povm_value = bell_value(ineq, distribution_from(a, measurements))
+    assert povm_value == pytest.approx(3.2627417, abs=1e-7)
+    assert povm_value > ineq.local_bound > report.lhs_value
