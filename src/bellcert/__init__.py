@@ -37,7 +37,6 @@ from .inequalities import (
     BellInequality,
     Distribution,
     MixingKernel,
-    MixingStabilityReport,
     apply_local_mixing,
     bell_value,
     build_chained_svetlichny,
@@ -47,11 +46,17 @@ from .inequalities import (
     chsh_symmetries,
     deterministic_distribution,
     deterministic_kernels,
-    mixing_stability_check,
+    local_bound_enumerate,
     permute_untrusted_parties,
     uniform_distribution,
 )
-from .oracle import OracleResult, SearchConfig, local_bound_enumerate, max_violation_search
+from .oracle import (
+    MixingStabilityReport,
+    OracleResult,
+    SearchConfig,
+    max_violation_search,
+    mixing_stability_check,
+)
 from .qubit import bloch_vector, direction_projectors, eig2, from_bloch, psd_check
 from .steering import (
     PauliTriple,

@@ -41,8 +41,10 @@ from .inequalities import (
     build_reducible_chsh,
     build_svetlichny,
     chsh_symmetries,
+    local_bound_enumerate,
+    strategy_count,
 )
-from .oracle import SearchConfig, local_bound_enumerate, max_violation_search, strategy_count
+from .oracle import SearchConfig, max_violation_search
 from .steering import optimal_steering_basis, three_axis_steering_lhs, two_axis_steering_lhs
 
 AXIS_DIRECTIONS = {
@@ -54,8 +56,9 @@ AXIS_DIRECTIONS = {
 REPORT_SCHEMA = 1
 
 # The tolerances each subcommand applies; --tol accepts only these names.
+# `analyze` has no hermiticity: its kernel rejects members at the fixed bound.
 APPLIED_TOLERANCES = {
-    "analyze": ("hermiticity", "positivity", "normalization", "no-signaling", "tie"),
+    "analyze": ("positivity", "normalization", "no-signaling", "tie"),
     "validate": ("hermiticity", "positivity", "normalization", "no-signaling"),
     "generate": (),
     "bound": (),
@@ -117,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override a tolerance (names: %s; validate takes all but tie, "
-        "generate and bound take none)" % ", ".join(tolerances.defaults()),
+        help="override a tolerance (names: %s; analyze takes all but hermiticity, "
+        "validate all but tie, generate and bound none)" % ", ".join(tolerances.defaults()),
     )
 
     parser = argparse.ArgumentParser(
@@ -428,17 +431,15 @@ def _violation_jsonable(violation) -> dict:
     }
 
 
+# The 8 CHSH variants with their enumerated bounds, built once per process.
+_CHSH_FAMILY = tuple(chsh_symmetries())
+
+
 def _is_chsh_family(inequality: BellInequality) -> bool:
-    if inequality.shape != CHSH_SHAPE:
-        return False
-    try:
-        variants = chsh_symmetries()
-    except ValueError:
-        return False
-    return any(
+    return inequality.shape == CHSH_SHAPE and any(
         np.array_equal(inequality.coefficients, v.coefficients)
         and inequality.local_bound == v.local_bound
-        for v in variants
+        for v in _CHSH_FAMILY
     )
 
 
@@ -452,7 +453,6 @@ def _cmd_analyze(args) -> int:
 
     hard = validate(
         assemblage,
-        hermiticity_tol=tol["hermiticity"],
         positivity_tol=tol["positivity"],
         normalization_tol=tol["normalization"],
     )
@@ -527,8 +527,7 @@ def _cmd_analyze(args) -> int:
         if oracle_block is not None:
             doc["oracle"] = oracle_block
         if steering_block is not None:
-            rows = (np.array(steering_block["optimal_basis"]) + 0.0).tolist()  # no -0.0
-            doc["steering"] = {**steering_block, "optimal_basis": rows}
+            doc["steering"] = steering_block
         print(json.dumps(doc, indent=2))
     else:
         _render_analysis(

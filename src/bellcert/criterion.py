@@ -175,13 +175,12 @@ def evaluate(
     inequality: BellInequality,
     *,
     tie_tol: float = VIOLATION_TIE,
-    degeneracy_tol: float = DEGENERATE_DIRECTION,
 ) -> CriterionReport:
     """Closed-form maximal Bell value over trusted dichotomic measurements.
 
     The lhs equals constant term plus the sum of per-input Bloch norms; the
     report's measurements achieve it exactly.  Inputs whose optimal vector is
-    shorter than ``degeneracy_tol`` contribute nothing and are flagged
+    no longer than ``DEGENERATE_DIRECTION`` contribute nothing and are flagged
     ``direction_free`` (any axis is optimal; +z is emitted for determinism).
     Values within ``tie_tol`` of the bound report ``violated=False`` with the
     ``marginal`` flag set, since a strict inequality cannot be certified at
@@ -189,12 +188,19 @@ def evaluate(
     """
     _require_matching(assemblage, inequality)
     table = pauli_contraction(assemblage, inequality.coefficients)
+    return report_from_table(table, inequality.local_bound, tie_tol)
+
+
+def report_from_table(
+    table: np.ndarray, bound: float, tie_tol: float = VIOLATION_TIE
+) -> CriterionReport:
+    """:func:`evaluate`'s report read from the Pauli table K of the
+    inequality's coefficients (see :func:`pauli_contraction`)."""
     return _report(
         _directions(table),
         0.5 * float(table[..., 0].sum()),
-        inequality.local_bound,
+        bound,
         tie_tol,
-        degeneracy_tol,
         GUARANTEE_GENERAL,
     )
 
@@ -204,7 +210,6 @@ def _report(
     constant: float,
     bound: float,
     tie_tol: float,
-    degeneracy_tol: float,
     guarantee: str,
 ) -> CriterionReport:
     """Report for optimal vectors: lhs = constant + sum of their norms."""
@@ -212,7 +217,7 @@ def _report(
     direction_free = []
     measurements = []
     for norm, direction in zip(norms, directions):
-        degenerate = norm <= degeneracy_tol
+        degenerate = norm <= DEGENERATE_DIRECTION
         direction_free.append(bool(degenerate))
         axis = DEFAULT_DIRECTION if degenerate else direction / norm
         measurements.append(DichotomicPOVM.from_direction(axis))
@@ -266,12 +271,7 @@ def chsh_directions(assemblage: Assemblage) -> np.ndarray:
     return _directions(pauli_contraction(assemblage, _CHSH_COEFFICIENTS))
 
 
-def chsh_fast(
-    assemblage: Assemblage,
-    *,
-    tie_tol: float = VIOLATION_TIE,
-    degeneracy_tol: float = DEGENERATE_DIRECTION,
-) -> CriterionReport:
+def chsh_fast(assemblage: Assemblage, *, tie_tol: float = VIOLATION_TIE) -> CriterionReport:
     """Bell-locality decision for bipartite 2-input/2-output assemblages.
 
     The lhs is the norm sum of the two optimal vectors against the bound 2;
@@ -279,9 +279,7 @@ def chsh_fast(
     just a CHSH-violation statement, and it agrees with ``evaluate`` on the
     CHSH inequality and each of its 8 symmetries.
     """
-    return _report(
-        chsh_directions(assemblage), 0.0, 2.0, tie_tol, degeneracy_tol, GUARANTEE_CHSH
-    )
+    return _report(chsh_directions(assemblage), 0.0, 2.0, tie_tol, GUARANTEE_CHSH)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ inequality always reads ``beta . P <= local_bound``.  Built-in constructors
 cover CHSH (with its 8 relabeling/sign symmetries), the three-party
 Svetlichny inequality, its chained m-input generalization, and a reducible
 demonstration inequality whose violations can grow under output mixing.
+Their local bounds come from :func:`local_bound_enumerate`, the exact
+maximum over local deterministic strategies.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -219,8 +221,6 @@ def chsh_symmetries() -> list[BellInequality]:
     Every variant is normalized to the <= direction (a sign flip negates the
     tensor) and its bound is re-enumerated over deterministic strategies.
     """
-    from .oracle import local_bound_enumerate  # oracle imports this module
-
     base = _chsh_tensor()
     variants = []
     for flip_x, flip_y, negate in product((False, True), repeat=3):
@@ -248,8 +248,6 @@ def build_svetlichny() -> BellInequality:
     Coefficients are (-1)^(a+b1+b2) when (x, y1, y2) is (0,0,0) or (1,1,1)
     and (-1)^(a+b1+b2+1) otherwise.
     """
-    from .oracle import local_bound_enumerate
-
     shape = ScenarioShape(2, (2, 2), (2, 2), 2)
     beta = np.zeros((2, 2, 2, 2, 2, 2))
     for a, b1, b2, x, y1, y2 in np.ndindex(*beta.shape):
@@ -268,11 +266,8 @@ def build_chained_svetlichny(
     """Chained Svetlichny-like inequality for three parties with m inputs each.
 
     beta = (-1)^(a + b1 + b2 + floor((y2 + x)/m) + 1) * delta(y1, (y2+x) mod 2);
-    the local bound is enumerated unless supplied (for m > 6 enumeration can
-    be slow, so a warning is emitted before computing on demand).
+    the local bound is enumerated unless supplied.
     """
-    from .oracle import local_bound_enumerate
-
     m = int(m)
     if m < 2:
         raise ValueError(f"chained inequality needs m >= 2, got {m}")
@@ -284,11 +279,6 @@ def build_chained_svetlichny(
         beta[a, b1, b2, x, y1, y2] = (-1.0) ** (a + b1 + b2 + (y2 + x) // m + 1)
     name = f"chained-svetlichny-{m}"
     if local_bound is None:
-        if m > 6:
-            warnings.warn(
-                f"enumerating the local bound for m={m}; this may take a while",
-                stacklevel=2,
-            )
         local_bound = local_bound_enumerate(BellInequality(shape, beta, 0.0, name))
     return BellInequality(shape, beta, float(local_bound), name)
 
@@ -302,8 +292,6 @@ def build_reducible_chsh(weight: float = 0.5) -> BellInequality:
     to 0, so this inequality is certifiably not mixing stable.  Violating
     behaviors exist for 0 < weight < 2*sqrt(2) - 2.
     """
-    from .oracle import local_bound_enumerate
-
     w = float(weight)
     if w <= 0.0:
         raise ValueError("weight must be positive")
@@ -317,97 +305,91 @@ def build_reducible_chsh(weight: float = 0.5) -> BellInequality:
 
 
 # ---------------------------------------------------------------------------
-# Mixing-stability heuristic
+# Exact local bound by deterministic-strategy enumeration
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MixingCounterexample:
-    kernel_index: int
-    value_before: float
-    value_after: float
-    distribution: Distribution
-    kernel: MixingKernel
+def strategy_count(shape) -> int:
+    """Number of local deterministic strategies for a scenario shape."""
+    untrusted = prod(
+        o**m for o, m in zip(shape.outputs_per_party, shape.inputs_per_party)
+    )
+    return (shape.trusted_outputs**shape.trusted_inputs) * untrusted
 
 
-@dataclass
-class MixingStabilityReport:
-    inequality_name: str | None
-    samples_requested: int
-    violating_sampled: int
-    trials: int
-    counterexample: MixingCounterexample | None
+def local_bound_enumerate(
+    inequality: BellInequality, cap: int = 100_000_000
+) -> float:
+    """Exact maximum of beta . P over all local deterministic strategies.
 
-    @property
-    def stable_so_far(self) -> bool:
-        return self.counterexample is None
-
-    def summary(self) -> str:
-        if self.counterexample is not None:
-            c = self.counterexample
-            return (
-                f"counterexample found: kernel #{c.kernel_index} lifts the value "
-                f"{c.value_before:.6g} -> {c.value_after:.6g} (NOT mixing stable)"
-            )
-        return (
-            f"no counterexample found over {self.violating_sampled} violating "
-            f"behaviors ({self.trials} trials); inconclusive pass"
-        )
-
-
-def mixing_stability_check(
-    inequality: BellInequality,
-    samples: int = 100,
-    seed: int = 0,
-    *,
-    increase_tol: float = 1e-9,
-    max_trials: int | None = None,
-) -> MixingStabilityReport:
-    """Search for violations that grow under trusted-output mixing.
-
-    Samples violating behaviors (optimal trusted measurements on random
-    assemblages, plus convex blends with random local deterministic points)
-    and applies every deterministic mixing kernel; by linearity of the mixing
-    in the kernel, deterministic kernels suffice to detect any increase.  A
-    found counterexample certifies the inequality is NOT mixing stable; a
-    clean pass over ``samples`` violating behaviors is inconclusive.
+    Every untrusted response function is visited, one party at a time: beta
+    is contracted against each party's one-hot response table over that
+    party's (b, y) axes, which leaves one (a, x) table per strategy.  For each
+    untrusted strategy the trusted party's best response decomposes per
+    input, so the trusted optimum is taken in closed form, the sum over x of
+    the max over a, instead of looping over the trusted party's 2**m
+    functions (the result is identical).  Response functions are generated
+    in blocks, so no working array holds more than ``_BLOCK`` floats (unless
+    beta itself does), whatever the strategy count.  Sums of integer
+    coefficients are exact in floats at these sizes.
     """
-    from .criterion import distribution_from, evaluate
-    from .sampling import random_assemblage, random_deterministic_distribution
-
-    rng = np.random.default_rng(seed)
     shape = inequality.shape
-    kernels = deterministic_kernels(shape.trusted_inputs)
-    budget = max_trials if max_trials is not None else 60 * samples
-    plantable = shape.untrusted_parties == 1 and shape.outputs_per_party == (2,)
-    violating = 0
-    trials = 0
-    while violating < samples and trials < budget:
-        trials += 1
-        planted = plantable and trials % 2 == 1
-        assemblage = random_assemblage(shape, rng, pure=True, planted=planted)
-        report = evaluate(assemblage, inequality)
-        base = distribution_from(assemblage, report.optimal_measurements)
-        mixer = random_deterministic_distribution(shape, rng)
-        blend = float(rng.uniform(0.6, 1.0))
-        blended = Distribution(
-            shape, blend * base.table + (1.0 - blend) * mixer.table
+    total = strategy_count(shape)
+    if total > cap:
+        raise ValueError(
+            f"{total} deterministic strategies exceed the enumeration cap {cap}"
         )
-        for dist in (base, blended):
-            if violating >= samples:
-                break
-            value = bell_value(inequality, dist)
-            if value <= inequality.local_bound + 1e-9:
-                continue
-            violating += 1
-            for idx, kernel in enumerate(kernels):
-                mixed_value = bell_value(inequality, apply_local_mixing(dist, kernel))
-                if mixed_value > value + increase_tol:
-                    return MixingStabilityReport(
-                        inequality.name,
-                        samples,
-                        violating,
-                        trials,
-                        MixingCounterexample(idx, value, mixed_value, dist, kernel),
-                    )
-    return MixingStabilityReport(inequality.name, samples, violating, trials, None)
+    k = shape.untrusted_parties
+    # (b_1, y_1, ..., b_k, y_k, a, x) and a trailing axis of strategies so far
+    axes = [ax for p in range(k) for ax in (1 + p, 2 + k + p)] + [0, 1 + k]
+    work = np.ascontiguousarray(inequality.coefficients.transpose(axes))[..., None]
+    parties = list(zip(shape.outputs_per_party, shape.inputs_per_party))
+    return _best_strategy(work, parties)
+
+
+# Largest working array of the enumeration, in float64 entries (32 MiB).
+_BLOCK = 1 << 22
+
+
+def _best_strategy(work: np.ndarray, parties: list[tuple[int, int]]) -> float:
+    """Max over the parties' response functions of sum_x max_a.
+
+    ``work`` has axes (b, y, later parties' (b, y) pairs, a, x, strategies
+    so far), where (b, y) belong to ``parties[0]``.  Its response functions
+    run in blocks: the functions of one block share their answers to the
+    first ``high`` inputs, which add one fixed term, and run through every
+    answer to the last ``low`` inputs, whose contraction every block shares.
+    """
+    (outputs, inputs), later = parties[0], parties[1:]
+    per_function = max(outputs * inputs, prod(work.shape[2:]))
+    low = inputs
+    while low and outputs**low * per_function > _BLOCK:
+        low -= 1
+    high = inputs - low
+    # (functions, later parties' (b, y) pairs, a, x, strategies so far)
+    shared = np.tensordot(_response_table(outputs, low), work[:, high:], axes=2)
+    best = -np.inf
+    for block in range(outputs**high):
+        answers = [block // outputs ** (high - 1 - y) % outputs for y in range(high)]
+        part = shared + work[answers, range(high)].sum(axis=0) if high else shared
+        if later:  # fold the functions into the strategies axis
+            part = np.ascontiguousarray(np.moveaxis(part, 0, -2))
+            value = _best_strategy(part.reshape(*part.shape[:-2], -1), later)
+        else:  # the trusted party is dichotomic
+            value = float(np.maximum(part[:, 0], part[:, 1]).sum(axis=1).max())
+        best = max(best, value)
+    return best
+
+
+def _response_table(outputs: int, inputs: int) -> np.ndarray:
+    """One-hot table T[s, b, y] = [response function s answers b to input y].
+
+    Function s answers input y with base-``outputs`` digit y of s, the first
+    input taking the most significant digit, as in ``itertools.product``.
+    """
+    index = np.arange(outputs**inputs)
+    table = np.zeros((outputs**inputs, outputs, inputs))
+    for y in range(inputs):
+        digit = index // outputs ** (inputs - 1 - y) % outputs
+        table[:, :, y] = digit[:, None] == np.arange(outputs)
+    return table

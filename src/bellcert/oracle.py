@@ -1,26 +1,51 @@
-"""Brute-force cross-checks: measurement search and local-bound enumeration.
+"""Randomized searches: the measurement oracle and the mixing-stability check.
 
-The search maximizes the Bell functional over trusted measurements by direct
-Born-rule evaluation (projective grid over the sphere, golden-section
-refinement, random POVM samples, optional injection of the closed-form
-candidate).  Because the functional splits over trusted inputs, each input
-is searched independently; the returned value is recomputed end to end from
-the chosen measurements through ``distribution_from`` and ``bell_value`` so
-that it never relies on the closed-form expression being checked.
+The measurement search maximizes the Bell functional over trusted
+measurements by direct Born-rule evaluation (projective grid over the
+sphere, golden-section refinement, random POVM samples, optional injection
+of the closed-form candidate).  Because the functional splits over trusted
+inputs, each input is searched independently; the returned value is
+recomputed end to end from the chosen measurements through
+``distribution_from`` and ``bell_value`` so that it never relies on the
+closed-form expression being checked.
+
+The mixing-stability check samples violating behaviors and looks for a
+trusted-output relabeling that raises their Bell value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, prod, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
 from . import qubit
 from .assemblages import Assemblage
-from .criterion import DichotomicPOVM, distribution_from, evaluate, pauli_contraction
-from .inequalities import BellInequality, bell_value
-from .sampling import random_dichotomic_povm
+from .criterion import (
+    DichotomicPOVM,
+    distribution_from,
+    evaluate,
+    pauli_contraction,
+    report_from_table,
+)
+# local_bound_enumerate and strategy_count are re-exported for callers that
+# import them from here, as the benchmark does
+from .inequalities import (
+    BellInequality,
+    Distribution,
+    MixingKernel,
+    apply_local_mixing,
+    bell_value,
+    deterministic_kernels,
+    local_bound_enumerate,
+    strategy_count,
+)
+from .sampling import (
+    random_assemblage,
+    random_deterministic_distribution,
+    random_dichotomic_povm,
+)
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 
@@ -135,15 +160,18 @@ def max_violation_search(
     if assemblage.shape != inequality.shape:
         raise ValueError("assemblage and inequality shapes differ")
     rng = np.random.default_rng(cfg.seed)
-    # per input x, the rows (Tr D_a, r(D_a)) of D_a = sum_{b,y} beta[a,b,x,y] sigma_{b|y}
-    tables = pauli_contraction(assemblage, inequality.coefficients).swapaxes(0, 1)
+    # K[a, x] = (Tr D_{a,x}, r(D_{a,x})), D_{a,x} = sum_{b,y} beta[a,b,x,y] sigma_{b|y}
+    contraction = pauli_contraction(assemblage, inequality.coefficients)
+    tables = contraction.swapaxes(0, 1)  # per input x, the rows of D_0 and D_1
 
     thetas = np.linspace(0.0, pi, cfg.grid_resolution + 1)
     phis = np.arange(2 * cfg.grid_resolution) * (pi / cfg.grid_resolution)
     theta_grid = thetas[:, None]
     phi_grid = phis[None, :]
 
-    closed_form = evaluate(assemblage, inequality) if cfg.inject_closed_form else None
+    closed_form = None
+    if cfg.inject_closed_form:
+        closed_form = report_from_table(contraction, inequality.local_bound)
 
     best_measurements: list[DichotomicPOVM] = []
     per_input = np.zeros(inequality.shape.trusted_inputs)
@@ -204,91 +232,92 @@ def max_violation_search(
 
 
 # ---------------------------------------------------------------------------
-# Exact local bound by deterministic-strategy enumeration
+# Mixing-stability heuristic
 # ---------------------------------------------------------------------------
 
 
-def strategy_count(shape) -> int:
-    """Number of local deterministic strategies for a scenario shape."""
-    untrusted = prod(
-        o**m for o, m in zip(shape.outputs_per_party, shape.inputs_per_party)
-    )
-    return (shape.trusted_outputs**shape.trusted_inputs) * untrusted
+@dataclass
+class MixingCounterexample:
+    kernel_index: int
+    value_before: float
+    value_after: float
+    distribution: Distribution
+    kernel: MixingKernel
 
 
-def local_bound_enumerate(
-    inequality: BellInequality, cap: int = 100_000_000
-) -> float:
-    """Exact maximum of beta . P over all local deterministic strategies.
+@dataclass
+class MixingStabilityReport:
+    inequality_name: str | None
+    samples_requested: int
+    violating_sampled: int
+    trials: int
+    counterexample: MixingCounterexample | None
 
-    Every untrusted response function is visited, one party at a time: beta
-    is contracted against each party's one-hot response table over that
-    party's (b, y) axes, which leaves one (a, x) table per strategy.  For each
-    untrusted strategy the trusted party's best response decomposes per
-    input, so the trusted optimum is taken in closed form, the sum over x of
-    the max over a, instead of looping over the trusted party's 2**m
-    functions (the result is identical).  Response functions are generated
-    in blocks, so no working array holds more than ``_BLOCK`` floats (unless
-    beta itself does), whatever the strategy count.  Sums of integer
-    coefficients are exact in floats at these sizes.
-    """
-    shape = inequality.shape
-    total = strategy_count(shape)
-    if total > cap:
-        raise ValueError(
-            f"{total} deterministic strategies exceed the enumeration cap {cap}"
+    @property
+    def stable_so_far(self) -> bool:
+        return self.counterexample is None
+
+    def summary(self) -> str:
+        if self.counterexample is not None:
+            c = self.counterexample
+            return (
+                f"counterexample found: kernel #{c.kernel_index} lifts the value "
+                f"{c.value_before:.6g} -> {c.value_after:.6g} (NOT mixing stable)"
+            )
+        return (
+            f"no counterexample found over {self.violating_sampled} violating "
+            f"behaviors ({self.trials} trials); inconclusive pass"
         )
-    k = shape.untrusted_parties
-    # (b_1, y_1, ..., b_k, y_k, a, x) and a trailing axis of strategies so far
-    axes = [ax for p in range(k) for ax in (1 + p, 2 + k + p)] + [0, 1 + k]
-    work = np.ascontiguousarray(inequality.coefficients.transpose(axes))[..., None]
-    parties = list(zip(shape.outputs_per_party, shape.inputs_per_party))
-    return _best_strategy(work, parties)
 
 
-# Largest working array of the enumeration, in float64 entries (32 MiB).
-_BLOCK = 1 << 22
+def mixing_stability_check(
+    inequality: BellInequality,
+    samples: int = 100,
+    seed: int = 0,
+) -> MixingStabilityReport:
+    """Search for violations that grow under trusted-output mixing.
 
-
-def _best_strategy(work: np.ndarray, parties: list[tuple[int, int]]) -> float:
-    """Max over the parties' response functions of sum_x max_a.
-
-    ``work`` has axes (b, y, later parties' (b, y) pairs, a, x, strategies
-    so far), where (b, y) belong to ``parties[0]``.  Its response functions
-    run in blocks: the functions of one block share their answers to the
-    first ``high`` inputs, which add one fixed term, and run through every
-    answer to the last ``low`` inputs, whose contraction every block shares.
+    Samples violating behaviors (optimal trusted measurements on random
+    assemblages, plus convex blends with random local deterministic points)
+    and applies every deterministic mixing kernel; by linearity of the mixing
+    in the kernel, deterministic kernels suffice to detect any increase.  A
+    found counterexample certifies the inequality is NOT mixing stable; a
+    clean pass over ``samples`` violating behaviors, or the end of the
+    budget of 60 trials per sample, is inconclusive.
     """
-    (outputs, inputs), later = parties[0], parties[1:]
-    per_function = max(outputs * inputs, prod(work.shape[2:]))
-    low = inputs
-    while low and outputs**low * per_function > _BLOCK:
-        low -= 1
-    high = inputs - low
-    # (functions, later parties' (b, y) pairs, a, x, strategies so far)
-    shared = np.tensordot(_response_table(outputs, low), work[:, high:], axes=2)
-    best = -np.inf
-    for block in range(outputs**high):
-        answers = [block // outputs ** (high - 1 - y) % outputs for y in range(high)]
-        part = shared + work[answers, range(high)].sum(axis=0) if high else shared
-        if later:  # fold the functions into the strategies axis
-            part = np.ascontiguousarray(np.moveaxis(part, 0, -2))
-            value = _best_strategy(part.reshape(*part.shape[:-2], -1), later)
-        else:  # the trusted party is dichotomic
-            value = float(np.maximum(part[:, 0], part[:, 1]).sum(axis=1).max())
-        best = max(best, value)
-    return best
-
-
-def _response_table(outputs: int, inputs: int) -> np.ndarray:
-    """One-hot table T[s, b, y] = [response function s answers b to input y].
-
-    Function s answers input y with base-``outputs`` digit y of s, the first
-    input taking the most significant digit, as in ``itertools.product``.
-    """
-    index = np.arange(outputs**inputs)
-    table = np.zeros((outputs**inputs, outputs, inputs))
-    for y in range(inputs):
-        digit = index // outputs ** (inputs - 1 - y) % outputs
-        table[:, :, y] = digit[:, None] == np.arange(outputs)
-    return table
+    rng = np.random.default_rng(seed)
+    shape = inequality.shape
+    kernels = deterministic_kernels(shape.trusted_inputs)
+    budget = 60 * samples
+    plantable = shape.untrusted_parties == 1 and shape.outputs_per_party == (2,)
+    violating = 0
+    trials = 0
+    while violating < samples and trials < budget:
+        trials += 1
+        planted = plantable and trials % 2 == 1
+        assemblage = random_assemblage(shape, rng, pure=True, planted=planted)
+        report = evaluate(assemblage, inequality)
+        base = distribution_from(assemblage, report.optimal_measurements)
+        mixer = random_deterministic_distribution(shape, rng)
+        blend = float(rng.uniform(0.6, 1.0))
+        blended = Distribution(
+            shape, blend * base.table + (1.0 - blend) * mixer.table
+        )
+        for dist in (base, blended):
+            if violating >= samples:
+                break
+            value = bell_value(inequality, dist)
+            if value <= inequality.local_bound + 1e-9:
+                continue
+            violating += 1
+            for idx, kernel in enumerate(kernels):
+                mixed_value = bell_value(inequality, apply_local_mixing(dist, kernel))
+                if mixed_value > value + 1e-9:
+                    return MixingStabilityReport(
+                        inequality.name,
+                        samples,
+                        violating,
+                        trials,
+                        MixingCounterexample(idx, value, mixed_value, dist, kernel),
+                    )
+    return MixingStabilityReport(inequality.name, samples, violating, trials, None)

@@ -27,27 +27,29 @@ for _m in (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _PAULI_COLUMNS):
     _m.setflags(write=False)
 
 
-def require_hermitian(op, tol: float = HERMITICITY) -> np.ndarray:
+def require_hermitian(op) -> np.ndarray:
     """Return ``op`` as a 2x2 complex array, raising if it is not Hermitian."""
     arr = np.asarray(op, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator has non-finite entries")
-    return require_hermitian_stack(arr, tol)
+    return require_hermitian_stack(arr)
 
 
-def require_hermitian_stack(ops, tol: float = HERMITICITY) -> np.ndarray:
+def require_hermitian_stack(ops) -> np.ndarray:
     """Return ``ops`` as a (..., 2, 2) complex array, raising if any operator
-    in it deviates from its adjoint by more than ``tol`` in some entry."""
+    in it deviates from its adjoint by more than ``HERMITICITY`` in some
+    entry."""
     arr = np.asarray(ops, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 operators, got shape {arr.shape}")
     # "not <=" also rejects the NaN deviation of a non-finite entry
     deviation = float(hermiticity_defects(arr).max(initial=0.0))
-    if not deviation <= tol:
+    if not deviation <= HERMITICITY:
         raise ValueError(
-            f"operator is not Hermitian (deviation {deviation:.3e} exceeds {tol:.1e})"
+            f"operator is not Hermitian (deviation {deviation:.3e} exceeds "
+            f"{HERMITICITY:.1e})"
         )
     return arr
 
@@ -107,20 +109,20 @@ def from_bloch(trace: float, r) -> np.ndarray:
     )
 
 
-def eig2(op, degeneracy_tol: float = DEGENERATE_DIRECTION):
+def eig2(op):
     """Closed-form eigendecomposition of a 2x2 Hermitian operator.
 
     Returns ``((lmax, lmin), (p0, p1))`` with eigenvalues in descending order
     and rank-1 orthogonal projectors satisfying ``lmax*p0 + lmin*p1 == op``.
-    Degenerate spectra (Bloch norm below ``degeneracy_tol``) deterministically
-    fall back to the computational-basis projectors.
+    Degenerate spectra (Bloch norm at most ``DEGENERATE_DIRECTION``)
+    deterministically fall back to the computational-basis projectors.
     """
     table = pauli_table(require_hermitian(op))
     trace, r = table[0], table[1:]
     gap = float(np.linalg.norm(r))
     lmax = 0.5 * (trace + gap)
     lmin = 0.5 * (trace - gap)
-    if gap <= degeneracy_tol:
+    if gap <= DEGENERATE_DIRECTION:
         p0 = np.array([[1, 0], [0, 0]], dtype=complex)
         p1 = np.array([[0, 0], [0, 1]], dtype=complex)
     else:
@@ -135,10 +137,10 @@ def psd_check(op, tol: float = POSITIVITY) -> bool:
     return bool(min_eigenvalues(require_hermitian(op)) >= -tol)
 
 
-def direction_projectors(direction, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def direction_projectors(direction) -> tuple[np.ndarray, np.ndarray]:
     """Projectors onto the +1/-1 eigenstates of ``direction . sigma``."""
     d = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(d))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
     return from_bloch(1.0, d), from_bloch(1.0, -d)

@@ -18,7 +18,9 @@ from .assemblages import (
     generate_from_state,
     singlet_state,
 )
+from .criterion import DichotomicPOVM
 from .inequalities import Distribution, deterministic_distribution
+from .steering import PauliTriple
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
@@ -38,10 +40,8 @@ def random_density_matrix(
     return rho / np.trace(rho).real
 
 
-def random_dichotomic_povm(rng: np.random.Generator):
+def random_dichotomic_povm(rng: np.random.Generator) -> DichotomicPOVM:
     """Random POVM: eigenvalue pair uniform on [0,1]^2, random projector axis."""
-    from .criterion import DichotomicPOVM  # avoids a circular import
-
     l0, l1 = rng.uniform(size=2)
     p0, p1 = qubit.direction_projectors(random_direction(rng))
     first = l0 * p0 + l1 * p1
@@ -118,10 +118,8 @@ def random_deterministic_distribution(
     return deterministic_distribution(shape, trusted, untrusted)
 
 
-def random_pauli_triple(rng: np.random.Generator):
+def random_pauli_triple(rng: np.random.Generator) -> PauliTriple:
     """Haar-ish random orthonormal right-handed triple."""
-    from .steering import PauliTriple  # avoids a circular import
-
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:

@@ -99,35 +99,36 @@ def _axis_sum(assemblage: Assemblage, axes: np.ndarray) -> float:
     return float(np.sqrt(np.sum(plus**2)) + np.sqrt(np.sum(minus**2)))
 
 
-def optimal_steering_basis(
-    assemblage: Assemblage, *, degeneracy_tol: float = DEGENERATE_DIRECTION
-) -> PauliTriple:
+def optimal_steering_basis(assemblage: Assemblage) -> PauliTriple:
     """Triple whose first two axes span the plane of the optimal vectors.
 
     With that choice the two-axis functional loses nothing to the dropped
-    axis and equals the three-axis value.  Degenerate cases resolve
-    deterministically: both vectors (near) zero gives the computational
-    triple; collinear vectors keep the common line as the first axis and
-    complete the plane with the smallest-index computational axis that is
-    not collinear with it.
+    axis and equals the three-axis value.  Degenerate cases (norms at most
+    ``DEGENERATE_DIRECTION``) resolve deterministically: both vectors (near)
+    zero gives the computational triple; collinear vectors keep the common
+    line as the first axis and complete the plane with the smallest-index
+    computational axis that is not collinear with it.  No component is -0.0.
     """
     t = chsh_directions(assemblage)
     t0, t1 = t[0], t[1]
     normal = np.cross(t0, t1)
     normal_norm = float(np.linalg.norm(normal))
     scale = max(1.0, float(np.linalg.norm(t0)) * float(np.linalg.norm(t1)))
-    if normal_norm > degeneracy_tol * scale:
+    if normal_norm > DEGENERATE_DIRECTION * scale:
         v0 = t0 / np.linalg.norm(t0)
         v2 = normal / normal_norm
-        v1 = np.cross(v2, v0)
-        return PauliTriple(np.vstack([v0, v1, v2]))
-    lead = t0 if np.linalg.norm(t0) > degeneracy_tol else t1
-    if float(np.linalg.norm(lead)) <= degeneracy_tol:
+        return _triple(v0, np.cross(v2, v0), v2)
+    lead = t0 if np.linalg.norm(t0) > DEGENERATE_DIRECTION else t1
+    if float(np.linalg.norm(lead)) <= DEGENERATE_DIRECTION:
         return PauliTriple.computational()
     v0 = lead / np.linalg.norm(lead)
     for axis in _AXES:
-        if float(np.linalg.norm(np.cross(v0, axis))) > degeneracy_tol:
+        if float(np.linalg.norm(np.cross(v0, axis))) > DEGENERATE_DIRECTION:
             raw = axis - (axis @ v0) * v0
             v1 = raw / np.linalg.norm(raw)
-            return PauliTriple(np.vstack([v0, v1, np.cross(v0, v1)]))
+            return _triple(v0, v1, np.cross(v0, v1))
     raise AssertionError("unreachable: a unit vector cannot be collinear with all axes")
+
+
+def _triple(*rows: np.ndarray) -> PauliTriple:
+    return PauliTriple(np.vstack(rows) + 0.0)  # normalizes -0.0

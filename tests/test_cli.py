@@ -126,6 +126,12 @@ class TestAnalyze:
         assert steering["three_axis_lhs"] == pytest.approx(2 * SQRT2)
         assert abs(steering["gap"]) < 1e-10
 
+    def test_steering_text_prints_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "analyze", "singlet", "chsh", "--steering")
+        assert code == 0
+        assert "  v2 = ( 0.000000000, -1.000000000,  0.000000000)" in out
+        assert "-0.000000000" not in out
+
     def test_steering_on_wrong_shape_is_input_error(self, capsys):
         code, _, err = run(capsys, "analyze", "ghz-3", "svetlichny", "--steering")
         assert code == 2

@@ -10,6 +10,7 @@ from bellcert import (
     build_chsh,
     builtin_assemblage,
     fileio,
+    inequalities,
     oracle,
 )
 from bellcert import cli
@@ -26,13 +27,13 @@ def run(capsys, *argv):
 def enumerations(monkeypatch):
     """Records every local-bound enumeration, wherever it is called from."""
     calls = []
-    real = oracle.local_bound_enumerate
+    real = inequalities.local_bound_enumerate
 
     def counted(inequality, *args, **kwargs):
         calls.append(inequality.name)
         return real(inequality, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "local_bound_enumerate", counted)
+    monkeypatch.setattr(inequalities, "local_bound_enumerate", counted)
     monkeypatch.setattr(cli, "local_bound_enumerate", counted)
     return calls
 
@@ -99,7 +100,7 @@ class TestEnumerationCount:
         code, out, _ = run(capsys, "analyze", "singlet", "chsh", "--json")
         assert code == 0
         assert json.loads(out)["bell_locality"]["bell_local"] is False
-        assert len(enumerations) == 8
+        assert enumerations == []
 
 
 class TestDecodeFaults:
@@ -166,7 +167,6 @@ class TestTolerances:
     def test_manifest_lists_the_applied_tolerances(self, capsys):
         _, out, _ = run(capsys, "analyze", "singlet", "chsh", "--json")
         assert list(json.loads(out)["manifest"]["tolerances"]) == [
-            "hermiticity",
             "positivity",
             "normalization",
             "no-signaling",
@@ -209,6 +209,19 @@ class TestToleranceSetPerCommand:
             "normalization": 1e-9,
             "no-signaling": 1e-9,
         }
+
+    def test_analyze_takes_no_hermiticity(self, tmp_path, capsys):
+        """validate may loosen the Hermiticity bound; analyze's kernel cannot."""
+        doc = fileio.assemblage_to_jsonable(builtin_assemblage("singlet-ZX"))
+        doc["members"]["b=0|y=0"][0][1] = [1e-9, 0.0]
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(path), "--tol", "hermiticity=1e-6")
+        assert code == 0 and out.startswith("valid")
+        code, out, err = run(capsys, "analyze", str(path), "chsh", "--tol", "hermiticity=1e-6")
+        assert_input_error(code, out, err, "bad --tol 'hermiticity=1e-6'")
+        code, out, err = run(capsys, "analyze", str(path), "chsh")
+        assert_input_error(code, out, err, "hermiticity at b=0|y=0")
 
 
 def write_chsh_file(tmp_path, bound):

@@ -10,8 +10,8 @@ from bellcert import (
     BellInequality,
     ScenarioShape,
     build_chained_svetlichny,
+    inequalities,
     local_bound_enumerate,
-    oracle,
     permute_untrusted_parties,
 )
 from bellcert.oracle import strategy_count
@@ -91,7 +91,7 @@ def test_matches_the_per_strategy_loop(index):
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_blocks_do_not_change_the_bound(monkeypatch, block):
     """A tiny block size splits every party's response functions into blocks."""
-    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(inequalities, "_BLOCK", block)
     rng = np.random.default_rng(block)
     for shape in SHAPES[:12]:
         inequality = random_inequality(shape, rng, integer=True)

@@ -14,6 +14,8 @@ from bellcert import (
     max_violation_search,
     permute_untrusted_parties,
 )
+from bellcert import criterion, oracle
+from bellcert.cli import main
 from bellcert.oracle import strategy_count
 from bellcert.sampling import random_assemblage
 
@@ -189,3 +191,31 @@ class TestSearchConfig:
             SearchConfig(grid_resolution=0)
         with pytest.raises(ValueError):
             SearchConfig(povm_samples=-1)
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Records every member contraction, from criterion or the oracle."""
+    calls = []
+    real = criterion.pauli_contraction
+
+    def counted(assemblage, coefficients):
+        calls.append(assemblage.shape)
+        return real(assemblage, coefficients)
+
+    monkeypatch.setattr(criterion, "pauli_contraction", counted)
+    monkeypatch.setattr(oracle, "pauli_contraction", counted)
+    return calls
+
+
+class TestContractionCount:
+    def test_the_search_contracts_once(self, contractions):
+        a = builtin_assemblage("ghz-3")
+        max_violation_search(a, build_svetlichny(), SearchConfig(grid_resolution=12))
+        assert len(contractions) == 1
+
+    def test_analyze_with_the_oracle_contracts_twice(self, capsys, contractions):
+        code = main(["analyze", "ghz-3", "svetlichny", "--oracle", "--grid", "12"])
+        capsys.readouterr()
+        assert code == 1
+        assert len(contractions) == 2
