@@ -7,6 +7,7 @@ form, returns the optimal measurements, and cross-checks the result with an
 independent brute-force search.
 """
 
+from .analysis import analyze
 from .assemblages import (
     Assemblage,
     ScenarioShape,
@@ -82,6 +83,7 @@ __all__ = [
     "SearchConfig",
     "UntrustedMeasurementSet",
     "Violation",
+    "analyze",
     "apply_local_mixing",
     "bell_value",
     "bloch_vector",

@@ -29,6 +29,10 @@ from .tolerances import (
 
 MemberKey = tuple[tuple[int, ...], tuple[int, ...]]
 
+# generate_from_state's einsum gives each untrusted party four of its 52
+# labels and the trusted qubit two
+MAX_UNTRUSTED_PARTIES = 12
+
 
 @dataclass(frozen=True)
 class ScenarioShape:
@@ -171,6 +175,15 @@ class Assemblage:
         stacked.setflags(write=False)
         self.shape = shape
         self._stacked = stacked
+
+    @cached_property
+    def pauli_table(self) -> np.ndarray:
+        """Read-only (Tr, Tr X, Tr Y, Tr Z) of every member, shape (#b, #y, 4),
+        which every Bell functional reads.  A non-Hermitian member raises
+        ``ValueError`` on each read, since a failed read caches nothing."""
+        table = qubit.pauli_table(qubit.require_hermitian_stack(self._stacked))
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def members(self) -> dict[MemberKey, np.ndarray]:
@@ -397,8 +410,10 @@ def generate_from_state(
     # its output/input b_p, y_p.  sigma_{b|y}[s, t] =
     # sum rho[s a.., t c..] prod_p M^p_{b_p|y_p}[c_p, a_p].
     k = len(dims)
-    if 4 * k + 2 > 52:  # einsum's label limit
-        raise ValueError(f"generation supports at most 12 untrusted parties, got {k}")
+    if k > MAX_UNTRUSTED_PARTIES:
+        raise ValueError(
+            f"generation supports at most {MAX_UNTRUSTED_PARTIES} untrusted parties, got {k}"
+        )
     s_, t_ = 0, 1
     a = range(2, 2 + k)
     c = range(2 + k, 2 + 2 * k)
@@ -434,9 +449,18 @@ def singlet_state() -> np.ndarray:
 
 
 def ghz_state(n_parties: int) -> np.ndarray:
-    """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2) as a density matrix."""
+    """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2) as a density matrix.
+
+    ``n_parties`` is at most ``MAX_UNTRUSTED_PARTIES + 1``, the most
+    :func:`generate_from_state` takes, and is checked before allocating.
+    """
     if n_parties < 2:
         raise ValueError("a GHZ state needs at least 2 parties")
+    if n_parties - 1 > MAX_UNTRUSTED_PARTIES:
+        raise ValueError(
+            f"a GHZ state of {n_parties} parties has {n_parties - 1} untrusted "
+            f"parties; generation supports at most {MAX_UNTRUSTED_PARTIES}"
+        )
     dim = 2**n_parties
     rho = np.zeros((dim, dim), dtype=complex)
     for i in (0, dim - 1):

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, tolerances
+from .analysis import analyze
 from .assemblages import (
-    CHSH_SHAPE,
     Assemblage,
     UntrustedMeasurementSet,
     builtin_assemblage,
@@ -33,19 +33,16 @@ from .assemblages import (
     validate,
     werner_state,
 )
-from .criterion import chsh_fast, evaluate
 from .inequalities import (
     BellInequality,
     build_chained_svetlichny,
     build_chsh,
     build_reducible_chsh,
     build_svetlichny,
-    chsh_symmetries,
     local_bound_enumerate,
     strategy_count,
 )
-from .oracle import SearchConfig, max_violation_search
-from .steering import optimal_steering_basis, three_axis_steering_lhs, two_axis_steering_lhs
+from .oracle import SearchConfig
 
 AXIS_DIRECTIONS = {
     "X": (1.0, 0.0, 0.0),
@@ -108,6 +105,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 
@@ -431,18 +431,6 @@ def _violation_jsonable(violation) -> dict:
     }
 
 
-# The 8 CHSH variants with their enumerated bounds, built once per process.
-_CHSH_FAMILY = tuple(chsh_symmetries())
-
-
-def _is_chsh_family(inequality: BellInequality) -> bool:
-    return inequality.shape == CHSH_SHAPE and any(
-        np.array_equal(inequality.coefficients, v.coefficients)
-        and inequality.local_bound == v.local_bound
-        for v in _CHSH_FAMILY
-    )
-
-
 def _cmd_analyze(args) -> int:
     tol = _effective_tolerances(args)
     assemblage, a_label = _resolve_assemblage(args.assemblage)
@@ -464,19 +452,7 @@ def _cmd_analyze(args) -> int:
     if ns_dev > tol["no-signaling"]:
         print(f"warning: no-signaling deviation {ns_dev:.3e}", file=sys.stderr)
 
-    report = evaluate(assemblage, inequality, tie_tol=tol["tie"])
-
-    locality = None
-    if _is_chsh_family(inequality):
-        fast = chsh_fast(assemblage, tie_tol=tol["tie"])
-        locality = {
-            "applicable": True,
-            "lhs_value": fast.lhs_value,
-            "bell_local": not fast.violated,
-            "marginal": fast.marginal,
-        }
-
-    oracle_block = None
+    config = None
     if args.oracle:
         config = SearchConfig(
             grid_resolution=args.grid,
@@ -484,111 +460,89 @@ def _cmd_analyze(args) -> int:
             refine_iterations=args.refine,
             seed=args.seed,
         )
-        result = max_violation_search(assemblage, inequality, config)
-        spread = max(report.lhs_value - report.constant_term, 0.0)
-        oracle_block = result.to_jsonable()
-        oracle_block["gap"] = report.lhs_value - result.value
-        oracle_block["grid_error_bound"] = spread * config.angular_step
-
-    steering_block = None
-    if args.steering:
-        basis = optimal_steering_basis(assemblage)
-        two = two_axis_steering_lhs(assemblage, basis)
-        three = three_axis_steering_lhs(assemblage, basis)
-        steering_block = {
-            "optimal_basis": [[float(v) for v in row] for row in basis.directions],
-            "two_axis_lhs": two,
-            "three_axis_lhs": three,
-            "gap": three - two,
-        }
-
     manifest = RunManifest(
         "analyze", {"assemblage": a_label, "inequality": i_label}, args.seed, tol
     )
+    doc = {
+        "format": "analysis-report",
+        "schema": REPORT_SCHEMA,
+        "manifest": manifest.to_jsonable(),
+        "assemblage": {
+            "source": a_label,
+            "shape": fileio.shape_to_jsonable(assemblage.shape),
+        },
+        "inequality": {
+            "source": i_label,
+            "name": inequality.name,
+            "local_bound": inequality.local_bound,
+            **(bound_check or {}),
+        },
+        **analyze(
+            assemblage, inequality, tie_tol=tol["tie"], oracle=config, steering=args.steering
+        ),
+    }
     if args.json:
-        doc = {
-            "format": "analysis-report",
-            "schema": REPORT_SCHEMA,
-            "manifest": manifest.to_jsonable(),
-            "assemblage": {
-                "source": a_label,
-                "shape": fileio.shape_to_jsonable(assemblage.shape),
-            },
-            "inequality": {
-                "source": i_label,
-                "name": inequality.name,
-                "local_bound": inequality.local_bound,
-                **(bound_check or {}),
-            },
-            "criterion": report.to_jsonable(),
-        }
-        if locality is not None:
-            doc["bell_locality"] = locality
-        if oracle_block is not None:
-            doc["oracle"] = oracle_block
-        if steering_block is not None:
-            doc["steering"] = steering_block
         print(json.dumps(doc, indent=2))
     else:
-        _render_analysis(
-            assemblage, inequality, bound_check, report, locality, oracle_block, steering_block
-        )
+        _render_analysis(doc)
         print(manifest.render())
-    return 0 if report.violated else 1
+    return 0 if doc["criterion"]["violated"] else 1
 
 
-def _render_analysis(
-    assemblage, inequality, bound_check, report, locality, oracle_block, steering_block
-):
-    shape = assemblage.shape
+def _render_analysis(doc: dict) -> None:
+    shape = doc["assemblage"]["shape"]
+    parties = shape["untrusted_parties"]
     print(
-        f"scenario: {shape.untrusted_parties} untrusted "
-        f"part{'y' if shape.untrusted_parties == 1 else 'ies'}, inputs "
-        f"{list(shape.inputs_per_party)}, outputs {list(shape.outputs_per_party)}, "
-        f"trusted inputs {shape.trusted_inputs}"
+        f"scenario: {parties} untrusted part{'y' if parties == 1 else 'ies'}, inputs "
+        f"{shape['inputs_per_party']}, outputs {shape['outputs_per_party']}, "
+        f"trusted inputs {shape['trusted_inputs']}"
     )
-    print(f"inequality: {inequality.name or 'unnamed'} (local bound {inequality.local_bound:.9g})")
-    if bound_check is not None:
-        enumerated = bound_check["enumerated_local_bound"]
+    ineq = doc["inequality"]
+    print(f"inequality: {ineq['name'] or 'unnamed'} (local bound {ineq['local_bound']:.9g})")
+    if "enumerated_local_bound" in ineq:
+        enumerated = ineq["enumerated_local_bound"]
         if enumerated is None:
             limit = FILE_BOUND_CHECK_LIMIT
             print(f"enumerated local bound: not checked (more than {limit} strategies)")
         else:
             print(f"enumerated local bound: {enumerated:.9g}")
-    for x in range(shape.trusted_inputs):
-        d = report.opt_directions[x]
-        free = "  [direction-free]" if report.direction_free[x] else ""
+    report = doc["criterion"]
+    for entry in report["per_input"]:
+        d = entry["direction"]
+        free = "  [direction-free]" if entry["direction_free"] else ""
         print(
-            f"x={x}: direction ({d[0]: .9f}, {d[1]: .9f}, {d[2]: .9f})  "
-            f"norm {report.norms[x]:.9f}{free}"
+            f"x={entry['x']}: direction ({d[0]: .9f}, {d[1]: .9f}, {d[2]: .9f})  "
+            f"norm {entry['norm']:.9f}{free}"
         )
-    print(f"constant term: {report.constant_term:.9g}")
-    print(f"lhs: {report.lhs_value:.9f}")
-    verdict = "VIOLATED" if report.violated else "not violated"
-    if report.marginal:
+    print(f"constant term: {report['constant_term']:.9g}")
+    print(f"lhs: {report['lhs_value']:.9f}")
+    verdict = "VIOLATED" if report["violated"] else "not violated"
+    if report["marginal"]:
         verdict += " (marginal: lhs within tie tolerance of the bound)"
     print(f"verdict: {verdict}")
-    if locality is not None:
+    if "bell_locality" in doc:
+        locality = doc["bell_locality"]
         print(
             f"Bell locality (2x2 fast path): lhs {locality['lhs_value']:.9f} -> "
             + ("LOCAL" if locality["bell_local"] else "NONLOCAL")
         )
-    print(f"guarantee: {report.guarantee}")
-    if oracle_block is not None:
+    print(f"guarantee: {report['guarantee']}")
+    if "oracle" in doc:
+        oracle = doc["oracle"]
         print(
-            f"oracle: value {oracle_block['value']:.9f}  gap "
-            f"{oracle_block['gap']:.3e}  (grid error bound "
-            f"{oracle_block['grid_error_bound']:.3e}, "
-            f"{oracle_block['candidates_evaluated']} candidates)"
+            f"oracle: value {oracle['value']:.9f}  gap "
+            f"{oracle['gap']:.3e}  (grid error bound "
+            f"{oracle['grid_error_bound']:.3e}, "
+            f"{oracle['candidates_evaluated']} candidates)"
         )
-    if steering_block is not None:
-        basis = steering_block["optimal_basis"]
+    if "steering" in doc:
+        steering = doc["steering"]
         print("steering comparison (two-axis vs three-axis):")
-        for idx, row in enumerate(basis):
+        for idx, row in enumerate(steering["optimal_basis"]):
             print(f"  v{idx} = ({row[0]: .9f}, {row[1]: .9f}, {row[2]: .9f})")
-        print(f"  two-axis lhs at optimal basis: {steering_block['two_axis_lhs']:.9f}")
-        print(f"  three-axis lhs: {steering_block['three_axis_lhs']:.9f}")
-        print(f"  gap: {steering_block['gap']:.3e}")
+        print(f"  two-axis lhs at optimal basis: {steering['two_axis_lhs']:.9f}")
+        print(f"  three-axis lhs: {steering['three_axis_lhs']:.9f}")
+        print(f"  gap: {steering['gap']:.3e}")
 
 
 def _cmd_generate(args) -> int:

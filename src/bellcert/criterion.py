@@ -130,17 +130,16 @@ def pauli_contraction(assemblage: Assemblage, coefficients) -> np.ndarray:
     """Pauli table K[a, x] = pauli_table(D_{a,x}), shape (2, m, 4), with
     D_{a,x} = sum_{b,y} coefficients[a, b, x, y] sigma_{b|y}.
 
-    ``coefficients`` has the assemblage's distribution shape.  Every member
-    is checked for Hermiticity first, also one whose coefficients are all
-    zero.
+    ``coefficients`` has the assemblage's distribution shape.  The members
+    are read from :attr:`Assemblage.pauli_table`, which rejects a
+    non-Hermitian member, also one whose coefficients are all zero.
     """
     s = assemblage.shape
     m = s.trusted_inputs
     beta = np.reshape(coefficients, (2, s.n_output_strings, m, s.n_input_strings))
-    members = qubit.require_hermitian_stack(assemblage.stacked_members())
     # one matmul: rows (a, x) of beta against the members' rows (b, y)
     weights = beta.transpose(0, 2, 1, 3).reshape(2 * m, -1)
-    return (weights @ qubit.pauli_table(members).reshape(-1, 4)).reshape(2, m, 4)
+    return (weights @ assemblage.pauli_table.reshape(-1, 4)).reshape(2, m, 4)
 
 
 def _directions(table: np.ndarray) -> np.ndarray:

@@ -54,12 +54,16 @@ def require_hermitian_stack(ops) -> np.ndarray:
     return arr
 
 
+# An overflow in the two check kernels gives inf, which every caller's
+# comparison rejects, so it raises no warning either.
+@np.errstate(over="ignore")
 def hermiticity_defects(ops) -> np.ndarray:
     """Largest entrywise |A - A^dagger| of each operator in a (..., d, d) stack."""
     arr = np.asarray(ops)
     return np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
+@np.errstate(over="ignore")
 def min_eigenvalues(ops) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian operator in a (..., d, d) stack.
 
@@ -137,10 +141,18 @@ def psd_check(op, tol: float = POSITIVITY) -> bool:
     return bool(min_eigenvalues(require_hermitian(op)) >= -tol)
 
 
-def direction_projectors(direction) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto the +1/-1 eigenstates of ``direction . sigma``."""
+def require_unit_vector(direction) -> np.ndarray:
+    """Return ``direction`` as a float array, raising unless its Euclidean
+    norm is 1 within 1e-9."""
     d = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(d))
-    if abs(norm - 1.0) > 1e-9:
+    # "not <=" also rejects the NaN norm of a non-finite entry
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
+    return d
+
+
+def direction_projectors(direction) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto the +1/-1 eigenstates of ``direction . sigma``."""
+    d = require_unit_vector(direction)
     return from_bloch(1.0, d), from_bloch(1.0, -d)

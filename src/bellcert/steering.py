@@ -35,7 +35,8 @@ class PauliTriple:
         if arr.shape != (3, 3):
             raise ValueError(f"expected three 3-vectors, got shape {arr.shape}")
         gram_defect = float(np.abs(arr @ arr.T - np.eye(3)).max())
-        if gram_defect > 1e-9:
+        # "not <=" also rejects the NaN defect of a non-finite entry
+        if not gram_defect <= 1e-9:
             raise ValueError(
                 f"directions are not orthonormal (defect {gram_defect:.3e})"
             )
@@ -62,17 +63,14 @@ def correlator(assemblage: Assemblage, direction, y: int) -> float:
         raise ValueError("correlators need a single 2-output untrusted party")
     if not 0 <= y < shape.inputs_per_party[0]:
         raise ValueError(f"input {y} out of range")
-    v = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
+    v = qubit.require_unit_vector(direction)
     return float(_correlator_vectors(assemblage)[y] @ v)
 
 
 def _correlator_vectors(assemblage: Assemblage) -> np.ndarray:
     """r(sigma_{0|y}) - r(sigma_{1|y}) for every input y, one row each."""
-    blochs = qubit.bloch_stack(assemblage.stacked_members())
-    return blochs[0] - blochs[1]
+    table = assemblage.pauli_table
+    return table[0, :, 1:] - table[1, :, 1:]
 
 
 def two_axis_steering_lhs(assemblage: Assemblage, basis: PauliTriple) -> float:

@@ -13,6 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,7 @@ def cases(draw):
     return kind, path, replacement, argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(cases())
 def test_mutated_documents_end_in_an_exit_code(case):

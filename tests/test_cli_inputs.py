@@ -282,3 +282,51 @@ class TestFileLocalBound:
     def test_the_limit_admits_chained_8(self):
         shape = build_chained_svetlichny(8, 0.0).shape
         assert oracle.strategy_count(shape) == cli.FILE_BOUND_CHECK_LIMIT
+
+
+class TestOverflowingEntries:
+    """An entry near the float maximum overflows the check kernels to inf,
+    which the checks reject; no numpy warning reaches the user."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        doc = fileio.assemblage_to_jsonable(builtin_assemblage("singlet-ZX"))
+        doc["members"]["b=0|y=0"][0][1] = [1e308, 1e308]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_validate_reports_it_invalid(self, capsys, big):
+        code, out, err = run(capsys, "validate", big)
+        assert code == 1
+        assert "violation: hermiticity at b=0|y=0" in out and "INVALID" in out
+        assert err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_analyze_rejects_it(self, capsys, big):
+        code, out, err = run(capsys, "analyze", big, "chsh")
+        assert_input_error(code, out, err, "fails validation: hermiticity at b=0|y=0")
+
+
+# Each request exceeds a 128 TiB address space, so it fails before allocating.
+OVERSIZED = {
+    "validate-ghz28": (["validate", "ghz-28"], "at most 12"),
+    "analyze-ghz28": (["analyze", "ghz-28", "svetlichny"], "at most 12"),
+    "generate-ghz28": (["generate", "ghz28", "ZX", "{out}"], "at most 12"),
+    "bound-chained": (["bound", "chained:100000"], "out of memory"),
+    "analyze-chained": (["analyze", "singlet", "chained:100000"], "out of memory"),
+    "oracle-grid": (
+        ["analyze", "singlet", "chsh", "--oracle", "--grid", "100000000000000"],
+        "out of memory",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_an_oversized_request_is_an_input_error(tmp_path, capsys, name):
+    argv, fragment = OVERSIZED[name]
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, *(a.format(out=out_path) for a in argv))
+    assert_input_error(code, out, err, fragment)
+    assert not out_path.exists()

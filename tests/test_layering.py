@@ -18,6 +18,7 @@ ORDER = (
     "steering",
     "sampling",
     "oracle",
+    "analysis",
     "fileio",
     "cli",
 )

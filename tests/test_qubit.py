@@ -130,3 +130,8 @@ def test_density_matrix_bloch_norm_bounded(rng):
 def test_direction_projectors_requires_unit_vector():
     with pytest.raises(ValueError, match="unit"):
         qubit.direction_projectors((1.0, 1.0, 0.0))
+
+
+def test_direction_projectors_rejects_a_nan_direction():
+    with pytest.raises(ValueError, match="unit vector, got norm nan"):
+        qubit.direction_projectors([np.nan, np.nan, np.nan])

@@ -49,6 +49,11 @@ class TestCorrelator:
         with pytest.raises(ValueError, match="unit"):
             correlator(a, (1.0, 1.0, 0.0), 0)
 
+    def test_rejects_a_nan_direction(self):
+        a = builtin_assemblage("singlet-ZX")
+        with pytest.raises(ValueError, match="unit vector, got norm nan"):
+            correlator(a, (np.nan, 0.0, 0.0), 0)
+
     def test_rejects_bad_input_index(self):
         a = builtin_assemblage("singlet-ZX")
         with pytest.raises(ValueError, match="out of range"):
@@ -167,6 +172,10 @@ class TestPauliTriple:
     def test_rejects_non_orthonormal_rows(self):
         with pytest.raises(ValueError, match="orthonormal"):
             PauliTriple(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]]))
+
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            PauliTriple([[np.nan] * 3] * 3)
 
     def test_handedness_flag(self):
         assert basis(X_HAT, Y_HAT, Z_HAT).right_handed
